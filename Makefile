@@ -34,14 +34,16 @@ lint: vet
 		echo "lint: staticcheck $(STATICCHECK_VERSION) unavailable (no binary on PATH, module fetch failed); vet-only"; \
 	fi
 
-# Short fuzzing pass over the parser and the §4 filter (CI runs the
-# same; leave -fuzztime off for a long local session).
+# Short fuzzing pass over every fuzz target (CI runs the same; leave
+# -fuzztime off for a long local session).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParser -fuzztime=10s ./internal/source/
 	$(GO) test -run=NONE -fuzz=FuzzFilter -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzRequestDecode -fuzztime=10s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/obs/
+	$(GO) test -run=NONE -fuzz=FuzzFlightDumpDecode -fuzztime=10s ./internal/obs/flight/
 	$(GO) test -run=NONE -fuzz=FuzzExactScheduler -fuzztime=10s ./internal/sched/exact/
+	$(GO) test -run=NONE -fuzz=FuzzProve -fuzztime=10s ./internal/sched/exact/
 
 # Single-pass smoke of every Benchmark* (no statistics); use
 # `go test -bench . -benchtime 10x ./internal/bench/` for real numbers.

@@ -346,3 +346,44 @@ for (i = 0; i < 16; i++) { A[i] = B[i] * 3.0; }
 		t.Fatalf("identical programs diverged: %v", diffs)
 	}
 }
+
+// TestRecurrenceDiagnosticsDeterministic: SLMS300 and SLMS303 name the
+// recurrence that binds a loop's II, and every fresh analysis must name
+// the same one. These kernels have several equally binding cycles, and
+// used to alternate between them with the order in which the scalar
+// dependence edges came out of a map.
+func TestRecurrenceDiagnosticsDeterministic(t *testing.T) {
+	kernels := map[string]bool{"stone3": true, "idamax": true, "idamax2": true, "kernel24": true}
+	for _, k := range bench.Kernels() {
+		if !kernels[k.Name] {
+			continue
+		}
+		delete(kernels, k.Name)
+		prog, err := source.Parse(k.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts := map[string]int{}
+		for i := 0; i < 200; i++ {
+			rep, err := analysis.LintProgram(k.Name, prog, analysis.LintOptions{Core: core.DefaultOptions()})
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			var b strings.Builder
+			for _, d := range rep.Diags {
+				if d.Code == analysis.CodePipelined || d.Code == analysis.CodeBindingCycle {
+					b.WriteString(d.Message + "\n")
+				}
+			}
+			texts[b.String()]++
+		}
+		if len(texts) != 1 {
+			t.Errorf("%s: %d distinct recurrence texts over 200 analyses:\n%v", k.Name, len(texts), texts)
+		} else if _, empty := texts[""]; empty {
+			t.Errorf("%s: no SLMS300/SLMS303 diagnostic", k.Name)
+		}
+	}
+	if len(kernels) > 0 {
+		t.Errorf("kernels missing from the corpus: %v", kernels)
+	}
+}

@@ -2,6 +2,7 @@ package dep
 
 import (
 	"fmt"
+	"sort"
 
 	"slms/internal/sem"
 	"slms/internal/source"
@@ -361,9 +362,18 @@ func usesScalar(e source.Expr, name string) bool {
 	return used
 }
 
-// scalarEdges emits dependence edges for scalars according to their class.
+// scalarEdges emits dependence edges for scalars according to their
+// class, in scalar-name order: the edge order decides which of several
+// equally binding recurrences mii.BindingCycle names, so it must not
+// follow map iteration.
 func (a *Analysis) scalarEdges(col *collector, opts Options) {
-	for name, si := range a.Scalars {
+	names := make([]string, 0, len(a.Scalars))
+	for name := range a.Scalars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		si := a.Scalars[name]
 		if opts.IgnoreScalars[name] || si.Class == Invariant {
 			continue
 		}

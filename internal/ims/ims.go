@@ -159,15 +159,15 @@ func ScheduleWith(b *ir.Block, d *machine.Desc, useTags bool, cfg Config) *Resul
 		if res.PressInt > d.IntRegs || res.PressFloat > d.FPRegs {
 			res.Reason = fmt.Sprintf("register pressure (%d int / %d fp) exceeds file (%d/%d)",
 				res.PressInt, res.PressFloat, d.IntRegs, d.FPRegs)
-			runProver(res, g, d, cfg, maxII)
+			runProver(res, g, d, cfg, sc, maxII)
 			return res
 		}
 		res.OK = true
-		runProver(res, g, d, cfg, maxII)
+		runProver(res, g, d, cfg, sc, maxII)
 		return res
 	}
 	res.Reason = fmt.Sprintf("no schedule up to II=%d", maxII)
-	runProver(res, g, d, cfg, maxII)
+	runProver(res, g, d, cfg, nil, maxII)
 	return res
 }
 
@@ -193,13 +193,21 @@ func exactVerdict(ii int, lastUnsat *sched.Unsat, budgetCut bool) *sched.Optimal
 }
 
 // runProver fills Result.Opt with the exact prover's verdict when one
-// is configured. The heuristic's achieved II counts even when register
-// pressure rejected the schedule — the gap question is about the II.
-func runProver(res *Result, g *sched.Graph, d *machine.Desc, cfg Config, maxII int) {
+// is configured. The heuristic's schedule sc (nil = none) is the
+// feasibility witness at its II once sched.Check accepts it, so the
+// exact search only refutes smaller IIs; a schedule that fails the
+// check proves nothing, and the exact search decides alone. The
+// heuristic's II counts even when register pressure rejected the
+// schedule — the gap question is about the II.
+func runProver(res *Result, g *sched.Graph, d *machine.Desc, cfg Config, sc *sched.Schedule, maxII int) {
 	if cfg.Prove == nil || res.Opt != nil {
 		return
 	}
-	res.Opt = sched.Prove(g, d, cfg.Prove, res.II, maxII)
+	heurII := 0
+	if sched.Check(g, d, sc) == nil {
+		heurII = sc.II
+	}
+	res.Opt = sched.Prove(g, d, cfg.Prove, heurII, maxII)
 }
 
 func withoutBranch(ins []*ir.Instr) []*ir.Instr {

@@ -7,6 +7,8 @@ import (
 	"slms/internal/backend"
 	"slms/internal/ir"
 	"slms/internal/machine"
+	"slms/internal/sched"
+	"slms/internal/sched/exact"
 	"slms/internal/source"
 )
 
@@ -160,5 +162,35 @@ func TestEmptyBody(t *testing.T) {
 	b := &ir.Block{}
 	if r := Schedule(b, machine.IA64Like(), true); r.OK {
 		t.Error("empty body must not schedule")
+	}
+}
+
+// brokenScheduler claims a schedule at every II it is asked for, with
+// every instruction issued at cycle 0: a backend bug whose output fails
+// sched.Check on any loop with a latency-carrying dependence.
+type brokenScheduler struct{ Heuristic }
+
+func (brokenScheduler) Schedule(g *sched.Graph, _ *machine.Desc, ii int) (*sched.Schedule, error) {
+	return &sched.Schedule{II: ii, Time: make([]int, g.N())}, nil
+}
+
+// TestProverIgnoresUncheckedSchedule: a heuristic schedule that fails
+// sched.Check is no feasibility witness, so the exact search decides
+// alone and the verdict is never proven-optimal or gap on its word.
+func TestProverIgnoresUncheckedSchedule(t *testing.T) {
+	d := machine.IA64Like()
+	b := loopBody(t, retrySrc)
+	prove := &exact.Sched{Budget: -1}
+	r := ScheduleWith(b, d, true, Config{Scheduler: brokenScheduler{}, Prove: prove})
+	if r.Opt == nil {
+		t.Fatal("no verdict")
+	}
+	if v := r.Opt.Verdict; v == sched.VerdictOptimal || v == sched.VerdictGap || r.Opt.HeurII != 0 {
+		t.Fatalf("unchecked schedule at II=%d taken as a witness: %+v", r.II, r.Opt)
+	}
+	// The real heuristic's schedule on the same loop is a witness.
+	if r := ScheduleWith(b, d, true, Config{Prove: prove}); r.Opt == nil ||
+		r.Opt.Verdict != sched.VerdictOptimal || r.Opt.HeurII != r.II {
+		t.Fatalf("checked heuristic schedule at II=%d: verdict %+v, want proven-optimal", r.II, r.Opt)
 	}
 }

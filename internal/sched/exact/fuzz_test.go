@@ -67,6 +67,55 @@ func FuzzExactScheduler(f *testing.F) {
 	})
 }
 
+// FuzzProve holds sched.Prove to its witness rule against the
+// residue-enumeration oracle: handed an II the oracle finds feasible as
+// the heuristic's (checked) schedule, Prove must prove minimal exactly
+// the oracle's smallest feasible II at or below it — a gap below the
+// witness, proven-optimal at it — unless it declares a budget cut.
+func FuzzProve(f *testing.F) {
+	f.Add([]byte{3, 2, 1, 1, 1, 2, 0, 1, 0, 1, 2, 1, 1, 1})
+	f.Add([]byte{2, 3, 2, 2, 2, 4, 0, 1, 0, 2, 1, 0, 1, 2})
+	f.Add([]byte{1, 1, 1, 1, 1, 1})
+	f.Add([]byte{4, 2, 1, 1, 1, 1, 0, 1, 1, 1, 1, 2, 2, 3, 0, 2, 3, 0, 1, 1})
+	f.Add([]byte{3, 6, 1, 1, 1, 3, 1, 2, 0, 1, 1, 2, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, d, start, ok := decodeInstance(data)
+		if !ok || g.N() > 4 || len(g.Edges) > 8 {
+			return // beyond what the oracle enumerates quickly
+		}
+		// The witness: the first feasible II at or above the decoded one.
+		heurII := 0
+		for ii := max(start, 1); ii <= 6; ii++ {
+			if bruteFeasible(g, d, ii) {
+				heurII = ii
+				break
+			}
+		}
+		if heurII == 0 {
+			return
+		}
+		want := heurII
+		for ii := 1; ii < heurII; ii++ {
+			if bruteFeasible(g, d, ii) {
+				want = ii
+				break
+			}
+		}
+		o := sched.Prove(g, d, &Sched{Budget: 50_000}, heurII, heurII+g.N()+8)
+		if o.Verdict == sched.VerdictBudget {
+			return // cut before deciding; no minimum to compare
+		}
+		verdict := sched.VerdictOptimal
+		if want < heurII {
+			verdict = sched.VerdictGap
+		}
+		if o.Verdict != verdict || o.ExactII != want || o.HeurII != heurII || o.Gap != heurII-want {
+			t.Fatalf("Prove(heurII=%d) = %+v, oracle minimum %d\nnodes=%+v edges=%+v units=%v iw=%d",
+				heurII, o, want, g.Nodes, g.Edges, d.Units, d.IssueWidth)
+		}
+	})
+}
+
 // decodeInstance builds a bounded instance from fuzz bytes:
 // [n, ii, intU, fpU, memU, iw, (from,to,dist,lat)*]. Every field is
 // reduced modulo a small range so all byte streams decode.

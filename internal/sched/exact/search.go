@@ -65,14 +65,14 @@ func newSearch(g *sched.Graph, d *machine.Desc, ii, budget int) *search {
 	}
 	st := &search{
 		g: g, d: d, ii: ii, n: n, budget: budget,
-		order:    g.PriorityOrder(),
-		rho:      make([]int, n),
-		rowFU:    make([][4]int, ii),
-		rowTotal: make([]int, ii),
-		iw:       sched.IssueWidthOf(d),
-		inc:      make([][]int, n),
-		pot:      make([]int64, n),
-		sadj:     make([][]sEdge, n),
+		order:      g.PriorityOrder(),
+		rho:        make([]int, n),
+		rowFU:      make([][4]int, ii),
+		rowTotal:   make([]int, ii),
+		iw:         sched.IssueWidthOf(d),
+		inc:        make([][]int, n),
+		pot:        make([]int64, n),
+		sadj:       make([][]sEdge, n),
 		relaxEpoch: make([]int, n),
 		relaxCnt:   make([]int, n),
 	}
@@ -109,6 +109,7 @@ func (st *search) run() (*sched.Schedule, error) {
 		// schedule.
 		return nil, fmt.Errorf("exact: produced invalid schedule: %w", cerr)
 	}
+	s.Visited = st.visited
 	return s, nil
 }
 

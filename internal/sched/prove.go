@@ -36,8 +36,9 @@ type Optimality struct {
 	Verdict string `json:"verdict"`
 	// HeurII is the heuristic's achieved II (0 = it produced none).
 	HeurII int `json:"heur_ii,omitempty"`
-	// ExactII is the smallest II the exact backend scheduled at
-	// (0 = none found within budget/bound).
+	// ExactII is the proven-minimal II (0 = none proven within the
+	// budget or bound). Below HeurII its witness is the exact backend's
+	// schedule; at HeurII it is the heuristic's checked schedule.
 	ExactII int `json:"exact_ii,omitempty"`
 	// Gap is HeurII − ExactII when the exact backend strictly wins.
 	Gap int `json:"gap,omitempty"`
@@ -48,12 +49,16 @@ type Optimality struct {
 }
 
 // Prove establishes the minimal feasible II of the graph with an exact
-// backend and compares it against the heuristic's heurII (0 = the
-// heuristic failed). It probes IIs from the analytic lower bound
-// upward to maxII (or heurII, whichever is smaller and positive): every
-// probe either schedules — proving minimality, since all smaller IIs
-// are refuted — or yields an UNSAT certificate; a budget cut ends the
-// proof with VerdictBudget. The backend must be exact (Caps().Exact).
+// backend and compares it against the heuristic's heurII. A positive
+// heurII means the caller holds a schedule at heurII that passed Check:
+// that schedule is the feasibility witness at heurII, so the exact
+// search only has to refute the IIs below it. Prove probes from the
+// analytic lower bound up to heurII−1; the first probe that schedules
+// is the proven minimum (a gap), and when every probe is refuted — or
+// the lower bound already equals heurII — heurII itself is proven
+// optimal. heurII = 0 (the heuristic found nothing) searches up to
+// maxII instead. A budget cut ends the proof with VerdictBudget. The
+// backend must be exact (Caps().Exact).
 func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimality {
 	if !ex.Caps().Exact {
 		return &Optimality{Verdict: VerdictBudget, HeurII: heurII,
@@ -64,16 +69,17 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 		return &Optimality{Verdict: VerdictOptimal, HeurII: heurII, ExactII: heurII,
 			Cert: "empty body"}
 	}
-	hi := maxII
-	if heurII > 0 && heurII < hi {
-		hi = heurII
-	}
-	if hi < 1 {
-		hi = 1
+	// bound is the largest II that may turn out minimal and hi the
+	// largest the exact search probes: heurII is witnessed, never
+	// probed; without a witness both are maxII.
+	bound, hi := heurII, heurII-1
+	if heurII <= 0 {
+		bound = max(maxII, 1)
+		hi = bound
 	}
 
 	resLB := ResourceMinII(g, d)
-	recLB, recCert := recurrenceMinII(g, hi)
+	recLB, recCert := recurrenceMinII(g, bound)
 	if recLB == 0 {
 		// No II up to the bound beats the recurrence: infeasible, and
 		// the positive cycle at the bound is the certificate.
@@ -93,25 +99,31 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 
 	lastUnsat := lbCert
 	visited := 0
+	// settle reports ii as the proven minimum: every smaller II is
+	// refuted, lastUnsat being the refutation of ii−1.
+	settle := func(ii int) *Optimality {
+		o := &Optimality{HeurII: heurII, ExactII: ii, Visited: visited}
+		if ii == 1 {
+			o.Cert = "II=1 is the unconditional minimum"
+		} else if lastUnsat != nil {
+			o.Cert = lastUnsat.Describe()
+		}
+		switch {
+		case heurII == 0:
+			o.Verdict = VerdictExactOnly
+		case ii < heurII:
+			o.Verdict = VerdictGap
+			o.Gap = heurII - ii
+		default:
+			o.Verdict = VerdictOptimal
+		}
+		return o
+	}
 	for ii := lb; ii <= hi; ii++ {
 		s, err := ex.Schedule(g, d, ii)
 		if s != nil {
-			o := &Optimality{HeurII: heurII, ExactII: ii, Visited: visited}
-			if ii > 1 && lastUnsat != nil {
-				o.Cert = lastUnsat.Describe()
-			} else if ii == 1 {
-				o.Cert = "II=1 is the unconditional minimum"
-			}
-			switch {
-			case heurII == 0:
-				o.Verdict = VerdictExactOnly
-			case ii < heurII:
-				o.Verdict = VerdictGap
-				o.Gap = heurII - ii
-			default:
-				o.Verdict = VerdictOptimal
-			}
-			return o
+			visited += s.Visited
+			return settle(ii)
 		}
 		var u *Unsat
 		var bd *Budget
@@ -130,16 +142,14 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 				Cert: fmt.Sprintf("exact backend failed without a proof at II=%d: %v", ii, err)}
 		}
 	}
-	// Every II up to the bound refuted. If the heuristic scheduled at
-	// heurII this is a contradiction (its schedule is a feasibility
-	// witness) — report it loudly instead of inventing a verdict.
-	o := &Optimality{Verdict: VerdictInfeasible, HeurII: heurII, Visited: visited}
+	if heurII > 0 {
+		// Every II below the witness is refuted (or below the bound).
+		return settle(heurII)
+	}
+	// No witness and every II up to maxII refuted.
+	o := &Optimality{Verdict: VerdictInfeasible, Visited: visited}
 	if lastUnsat != nil {
 		o.Cert = lastUnsat.Describe()
-	}
-	if heurII > 0 && heurII <= hi {
-		o.Verdict = VerdictBudget
-		o.Cert = fmt.Sprintf("CONTRADICTION: exact refuted II=%d but the heuristic scheduled there; %s", heurII, o.Cert)
 	}
 	return o
 }

@@ -64,6 +64,9 @@ func (g *Graph) N() int { return len(g.Nodes) }
 type Schedule struct {
 	II   int
 	Time []int
+	// Visited is the branch-and-bound nodes an exact backend expanded
+	// to find the schedule (0 for heuristic backends).
+	Visited int
 }
 
 // Caps describes what a backend's answers mean.

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -181,6 +182,95 @@ func TestProveBudget(t *testing.T) {
 	o := sched.Prove(g, d, &exact.Sched{Budget: 2}, 9, 20)
 	if o.Verdict != sched.VerdictBudget {
 		t.Fatalf("verdict %+v, want budget-exhausted", o)
+	}
+}
+
+// scriptedExact is an exact backend that answers from a script: it
+// schedules at the IIs in feasible (a valid schedule is not needed —
+// Prove never checks the backend's schedules) and refutes every other
+// II with a search certificate, recording each probe. With t set, any
+// probe fails the test.
+type scriptedExact struct {
+	t        *testing.T
+	feasible map[int]bool
+	probes   []int
+}
+
+func (*scriptedExact) Name() string     { return "scripted" }
+func (*scriptedExact) Caps() sched.Caps { return sched.Caps{Exact: true} }
+
+func (s *scriptedExact) Schedule(g *sched.Graph, _ *machine.Desc, ii int) (*sched.Schedule, error) {
+	if s.t != nil {
+		s.t.Fatalf("exact backend probed at II=%d; the lower bound meets the witness", ii)
+	}
+	s.probes = append(s.probes, ii)
+	if s.feasible[ii] {
+		return &sched.Schedule{II: ii, Time: make([]int, g.N()), Visited: 3}, nil
+	}
+	return nil, &sched.Unsat{II: ii, Kind: sched.UnsatSearch, Visited: 5}
+}
+
+// TestProveWitnessAtLowerBound: when the analytic lower bound already
+// equals the heuristic's II, its checked schedule closes the proof —
+// the exact backend is never called and the certificate is the bound's.
+func TestProveWitnessAtLowerBound(t *testing.T) {
+	d := testMachine(1, 1, 1, 4)
+	res := &sched.Graph{Nodes: []sched.Node{
+		{FU: machine.FUInt, Lat: 1}, {FU: machine.FUInt, Lat: 1}, {FU: machine.FUInt, Lat: 1},
+	}}
+	// A two-node recurrence of total latency 4 over distance 1: RecMII 4.
+	rec := &sched.Graph{
+		Nodes: []sched.Node{{FU: machine.FUInt, Lat: 2}, {FU: machine.FUFloat, Lat: 2}},
+		Edges: []sched.Edge{{From: 0, To: 1, Lat: 2}, {From: 1, To: 0, Dist: 1, Lat: 2}},
+	}
+	one := &sched.Graph{Nodes: []sched.Node{{FU: machine.FUInt, Lat: 1}}}
+	for _, tc := range []struct {
+		name     string
+		g        *sched.Graph
+		heurII   int
+		wantCert string
+	}{
+		{"resource", res, 3, "II=2 infeasible: 3 int instructions exceed 1 unit(s)"},
+		{"recurrence", rec, 4, "II=3 infeasible: recurrence"},
+		{"unit", one, 1, "II=1 is the unconditional minimum"},
+	} {
+		o := sched.Prove(tc.g, d, &scriptedExact{t: t}, tc.heurII, 20)
+		if o.Verdict != sched.VerdictOptimal || o.ExactII != tc.heurII || o.HeurII != tc.heurII || o.Visited != 0 {
+			t.Errorf("%s: verdict %+v, want proven-optimal at %d with no search", tc.name, o, tc.heurII)
+		}
+		if !strings.Contains(o.Cert, tc.wantCert) {
+			t.Errorf("%s: cert %q, want it to contain %q", tc.name, o.Cert, tc.wantCert)
+		}
+	}
+}
+
+// TestProveProbesBelowWitness: above the lower bound, Prove refutes only
+// the IIs below the heuristic's — heurII itself is witnessed, never
+// probed — and counts the nodes of every probe, the successful one too.
+func TestProveProbesBelowWitness(t *testing.T) {
+	d := testMachine(1, 1, 1, 4)
+	g := &sched.Graph{Nodes: []sched.Node{
+		{FU: machine.FUInt, Lat: 1}, {FU: machine.FUInt, Lat: 1}, {FU: machine.FUInt, Lat: 1},
+	}} // ResMII 3
+	ex := &scriptedExact{}
+	o := sched.Prove(g, d, ex, 6, 20)
+	if fmt.Sprint(ex.probes) != "[3 4 5]" {
+		t.Fatalf("probed IIs %v, want [3 4 5]", ex.probes)
+	}
+	if o.Verdict != sched.VerdictOptimal || o.ExactII != 6 || o.Visited != 15 {
+		t.Fatalf("verdict %+v, want proven-optimal at 6 after 15 nodes", o)
+	}
+	if !strings.Contains(o.Cert, "II=5 infeasible") {
+		t.Fatalf("cert %q, want the refutation of II=5", o.Cert)
+	}
+
+	ex = &scriptedExact{feasible: map[int]bool{4: true}}
+	o = sched.Prove(g, d, ex, 6, 20)
+	if fmt.Sprint(ex.probes) != "[3 4]" {
+		t.Fatalf("probed IIs %v, want [3 4]", ex.probes)
+	}
+	if o.Verdict != sched.VerdictGap || o.ExactII != 4 || o.Gap != 2 || o.Visited != 8 {
+		t.Fatalf("verdict %+v, want gap 2 at 4 after 8 nodes", o)
 	}
 }
 
