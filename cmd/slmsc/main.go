@@ -39,16 +39,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"slms/internal/analysis"
 	"slms/internal/core"
+	"slms/internal/ims"
 	"slms/internal/interp"
 	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
-	"slms/internal/sched"
 	"slms/internal/slc"
 	"slms/internal/source"
 )
@@ -63,7 +62,7 @@ func main() {
 	useSLC := flag.Bool("slc", false, "run the full source-level-compiler driver (SLMS + fusion/interchange/mirroring/reduction-splitting)")
 	verify := flag.Bool("verify", false, "verify every transformation before printing (static proof, differential fallback)")
 	profPath := flag.String("profile", "", "simulate the transformed program on the reference machine and write its cycle profile (pprof) here")
-	schedName := flag.String("scheduler", "", "profile under the strong final compiler using this modulo-scheduling backend: one of "+strings.Join(sched.Names(), ", "))
+	schedName := flag.String("scheduler", "", "profile under the strong final compiler with this modulo scheduling: ims (the heuristic alone) or exact (the heuristic's schedule, exact refutation below its II, and a lower exact schedule kept)")
 	effort := flag.String("effort", "", "exact-scheduler effort for -scheduler profiles: quick, standard or max")
 	tele := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -82,7 +81,7 @@ func main() {
 	default:
 		obs.Usagef("unknown -expand mode %q (want mve or array)", *expand)
 	}
-	if _, err := pipeline.SchedulerConfig(*schedName, *effort); err != nil {
+	if _, err := ims.EffortConfig(*schedName, *effort); err != nil {
 		obs.Usagef("%v", err)
 	}
 	var text []byte

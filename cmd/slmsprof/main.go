@@ -35,14 +35,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"slms/internal/core"
+	"slms/internal/ims"
 	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
-	"slms/internal/sched"
 	"slms/internal/source"
 )
 
@@ -50,7 +49,7 @@ func main() {
 	machineName := flag.String("machine", "ia64", "ia64, power4, pentium or arm7")
 	compiler := flag.String("compiler", "weak", "weak (GCC-like) or strong (ICC/XLC-like)")
 	o0 := flag.Bool("O0", false, "disable compiler scheduling")
-	scheduler := flag.String("scheduler", "", "modulo-scheduling backend for strong compiles: one of "+strings.Join(sched.Names(), ", ")+" (default ims)")
+	scheduler := flag.String("scheduler", "", "modulo scheduling for strong compiles: ims (the heuristic alone, default) or exact (the heuristic's schedule, exact refutation below its II, and a lower exact schedule kept)")
 	effort := flag.String("effort", "", "exact-scheduler effort: quick, standard or max (under ims, also proves the optimality gap)")
 	format := flag.String("format", "text", "text, json or pprof")
 	top := flag.Int("top", 20, "lines per hot-line table (text format)")
@@ -83,7 +82,7 @@ func main() {
 	if err != nil {
 		obs.Usagef("%v", err)
 	}
-	if _, err := pipeline.SchedulerConfig(*scheduler, *effort); err != nil {
+	if _, err := ims.EffortConfig(*scheduler, *effort); err != nil {
 		obs.Usagef("%v", err)
 	}
 	cc.Scheduler, cc.Effort = *scheduler, *effort

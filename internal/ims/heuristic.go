@@ -5,26 +5,12 @@ import (
 	"slms/internal/sched"
 )
 
-func init() { sched.Register(Heuristic{}) }
-
 // Heuristic is Rau's iterative modulo scheduling placement as a
-// pluggable sched backend: a height-priority worklist filling the
-// modulo reservation table with eviction-based backtracking under a
-// budget of a small multiple of the instruction count. A failure means
-// the heuristic gave up, not that the II is infeasible — Caps().Exact
-// is false.
-type Heuristic struct {
-	// BudgetFactor scales the backtracking budget (placements allowed
-	// before giving up): budget = BudgetFactor·n + 32. 0 means the
-	// paper-era default of 6.
-	BudgetFactor int
-}
-
-// Name implements sched.Scheduler.
-func (Heuristic) Name() string { return "ims" }
-
-// Caps implements sched.Scheduler: heuristic failures prove nothing.
-func (Heuristic) Caps() sched.Caps { return sched.Caps{} }
+// sched.Scheduler: a height-priority worklist filling the modulo
+// reservation table with eviction-based backtracking under a budget of
+// 6n+32 placements. A failure (ErrGiveUp) means the heuristic gave up,
+// not that the II is infeasible.
+type Heuristic struct{}
 
 // Schedule attempts to place every node at initiation interval ii,
 // with eviction-based backtracking (Rau's iterative scheme). The
@@ -32,16 +18,12 @@ func (Heuristic) Caps() sched.Caps { return sched.Caps{} }
 // retries this backend at bumped IIs, and the order never changes with
 // the II, so it is derived exactly once per graph (see
 // sched.Graph.PriorityOrder).
-func (h Heuristic) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
+func (Heuristic) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
 	n := g.N()
 	if ii < 1 {
 		return nil, sched.ErrGiveUp
 	}
-	factor := h.BudgetFactor
-	if factor <= 0 {
-		factor = 6
-	}
-	budget := factor*n + 32
+	budget := 6*n + 32
 
 	preds := make([][]sched.Edge, n)
 	succs := make([][]sched.Edge, n)

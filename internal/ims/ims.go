@@ -3,17 +3,16 @@
 // strong final compilers (ICC, XLC) apply to innermost loops, and the
 // baseline SLMS is compared against. The scheduler computes
 // ResMII/RecMII from the instruction-level dependence graph (using the
-// affine memory tags for disambiguation), then probes candidate IIs
-// with a pluggable sched.Scheduler backend — by default the Rau-style
-// height-priority heuristic this package registers as "ims"; the
-// "exact" SDC backend (package sched/exact) turns the same search into
-// an optimality proof. Schedules whose register pressure exceeds the
-// machine file are rejected — the failure mode of the paper's
+// affine memory tags for disambiguation), then places the loop with
+// the Rau-style height-priority heuristic at the smallest II it can. An
+// optional exact prover (package sched/exact, run through sched.Prove)
+// refutes the IIs below the heuristic's schedule, and a lower schedule
+// it finds is kept instead. Schedules whose register pressure exceeds
+// the machine file are rejected — the failure mode of the paper's
 // Figure 11.
 package ims
 
 import (
-	"errors"
 	"fmt"
 
 	"slms/internal/ddg"
@@ -36,44 +35,42 @@ type Result struct {
 	RecMII     int
 	PressInt   int // estimated integer register pressure
 	PressFloat int
-	// Scheduler is the backend that produced (or failed to produce)
-	// the schedule.
-	Scheduler string
-	// Opt is the optimality verdict when a prover ran (Config.Prove or
-	// an exact scheduling backend); nil otherwise.
+	// Opt is the optimality verdict when a prover ran (Config.Prove);
+	// nil otherwise.
 	Opt *sched.Optimality
 }
 
-// Config selects the scheduling backend and the optional optimality
-// proof for one Schedule call.
+// Config configures the optional optimality proof of one ScheduleWith
+// call; the zero value schedules with the heuristic alone.
 type Config struct {
-	// Scheduler is the placement backend; nil resolves the registry
-	// default ("ims").
-	Scheduler sched.Scheduler
-	// Prove, when non-nil, runs after the II search: an exact backend
-	// that establishes the proven-minimal II and the optimality gap
-	// (Result.Opt). Ignored when Scheduler itself is exact — its first
-	// accepted II is already proven minimal.
+	// Prove, when non-nil, is an exact backend that runs after the
+	// heuristic: it refutes the IIs below the heuristic's schedule
+	// (Result.Opt), and a lower schedule it finds replaces the
+	// heuristic's when it passes sched.Check and the register-pressure
+	// test.
 	Prove sched.Scheduler
+
+	// place is the placement backend; nil is the Heuristic. Tests
+	// substitute fakes.
+	place sched.Scheduler
 }
 
 // EffortConfig resolves a scheduler name and effort level into a
-// backend configuration — the single validation point the pipeline, the
-// CLIs and slmsd share. The scheduler name goes through the sched
-// registry ("" = the default heuristic); effort tunes the exact search
-// budget ("" or "standard" = the exact backend's default, "quick" = a
-// small budget, "max" = unlimited). Under the heuristic backend a
-// non-empty effort additionally configures the exact prover, so every
-// schedule comes back with its optimality verdict.
+// Config — the single validation point the pipeline, the CLIs and
+// slmsd share. The heuristic always places the loop; scheduler "exact",
+// or any effort, adds the exact prover, whose search budget the effort
+// sets ("" or "standard" = the exact backend's default, "quick" = a
+// small budget, "max" = unlimited). So "exact" without an effort is
+// "ims" at "standard", and the two names agree at every effort.
 func EffortConfig(scheduler, effort string) (Config, error) {
-	s, err := sched.Get(scheduler)
-	if err != nil {
-		return Config{}, err
+	switch scheduler {
+	case "", "ims", "exact":
+	default:
+		return Config{}, fmt.Errorf("unknown scheduler %q (want ims or exact)", scheduler)
 	}
 	var budget int
 	switch effort {
 	case "", "standard":
-		budget = 0
 	case "quick":
 		budget = 20_000
 	case "max":
@@ -81,31 +78,28 @@ func EffortConfig(scheduler, effort string) (Config, error) {
 	default:
 		return Config{}, fmt.Errorf("unknown effort %q (want quick, standard or max)", effort)
 	}
-	cfg := Config{Scheduler: s}
-	if ex, ok := s.(*exact.Sched); ok {
-		cfg.Scheduler = ex.WithBudget(budget)
-	} else if effort != "" {
-		cfg.Prove = (&exact.Sched{}).WithBudget(budget)
+	if scheduler != "exact" && effort == "" {
+		return Config{}, nil
 	}
-	return cfg, nil
+	return Config{Prove: &exact.Sched{Budget: budget}}, nil
 }
 
 // Schedule modulo-schedules the body block of an innermost loop with
-// the default heuristic backend. useTags enables affine memory
-// disambiguation.
+// the heuristic alone. useTags enables affine memory disambiguation.
 func Schedule(b *ir.Block, d *machine.Desc, useTags bool) *Result {
 	return ScheduleWith(b, d, useTags, Config{})
 }
 
-// ScheduleWith is Schedule with an explicit backend configuration.
+// ScheduleWith is Schedule with an explicit configuration. The
+// heuristic places the loop at the smallest II it can. With cfg.Prove
+// set, sched.Prove then refutes the IIs below the heuristic's schedule;
+// the lower schedule it hands back on a gap (or when the heuristic
+// found none) is kept when it passes sched.Check and the
+// register-pressure test. Opt.HeurII stays the heuristic's II.
 func ScheduleWith(b *ir.Block, d *machine.Desc, useTags bool, cfg Config) *Result {
-	s := cfg.Scheduler
-	if s == nil {
-		s, _ = sched.Get(sched.DefaultName)
-	}
 	ins := withoutBranch(b.Instrs)
 	n := len(ins)
-	res := &Result{Scheduler: s.Name()}
+	res := &Result{}
 	if n == 0 {
 		res.Reason = "empty body"
 		return res
@@ -118,96 +112,64 @@ func ScheduleWith(b *ir.Block, d *machine.Desc, useTags bool, cfg Config) *Resul
 		res.Reason = "no feasible II (unresolvable recurrence)"
 		return res
 	}
-	start := res.ResMII
-	if res.RecMII > start {
-		start = res.RecMII
-	}
-	if start < 1 {
-		start = 1
-	}
+	start := max(res.ResMII, res.RecMII, 1)
 	maxII := start + n + 8
-	exact := s.Caps().Exact
-	var lastUnsat *sched.Unsat
-	budgetCut := false
-	for ii := start; ii <= maxII; ii++ {
-		sc, err := s.Schedule(g, d, ii)
-		if sc == nil {
-			var u *sched.Unsat
-			var bd *sched.Budget
-			switch {
-			case errors.As(err, &u):
-				lastUnsat = u
-			case errors.As(err, &bd):
-				budgetCut = true
-			}
-			continue
-		}
-		sigma := sc.Time
-		sl := 0
-		for i, t := range sigma {
-			if e := t + g.Nodes[i].Lat; e > sl {
-				sl = e
-			}
-		}
-		res.II = ii
-		res.SL = sl + d.Lat.Branch
-		res.Stages = (res.SL + ii - 1) / ii
-		res.PressInt, res.PressFloat = pressure(ins, sigma, ii)
-		if exact {
-			res.Opt = exactVerdict(ii, lastUnsat, budgetCut)
-		}
-		if res.PressInt > d.IntRegs || res.PressFloat > d.FPRegs {
-			res.Reason = fmt.Sprintf("register pressure (%d int / %d fp) exceeds file (%d/%d)",
-				res.PressInt, res.PressFloat, d.IntRegs, d.FPRegs)
-			runProver(res, g, d, cfg, sc, maxII)
-			return res
-		}
-		res.OK = true
-		runProver(res, g, d, cfg, sc, maxII)
+	place := cfg.place
+	if place == nil {
+		place = Heuristic{}
+	}
+	var sc *sched.Schedule
+	for ii := start; ii <= maxII && sc == nil; ii++ {
+		sc, _ = place.Schedule(g, d, ii)
+	}
+	if sc == nil {
+		res.Reason = fmt.Sprintf("no schedule up to II=%d", maxII)
+	} else {
+		res.take(ins, g, d, sc)
+	}
+	if cfg.Prove == nil {
 		return res
 	}
-	res.Reason = fmt.Sprintf("no schedule up to II=%d", maxII)
-	runProver(res, g, d, cfg, nil, maxII)
-	return res
-}
-
-// exactVerdict synthesizes the optimality record for a search driven
-// directly by an exact backend: the accepted II is proven minimal when
-// every smaller probe was refuted (no budget cut swallowed one).
-func exactVerdict(ii int, lastUnsat *sched.Unsat, budgetCut bool) *sched.Optimality {
-	o := &sched.Optimality{HeurII: ii, ExactII: ii, Verdict: sched.VerdictOptimal}
-	if budgetCut {
-		o.Verdict = sched.VerdictBudget
-		o.Cert = "a smaller II was cut by budget, not refuted"
-		return o
-	}
-	switch {
-	case ii == 1:
-		o.Cert = "II=1 is the unconditional minimum"
-	case lastUnsat != nil:
-		o.Cert = lastUnsat.Describe()
-	default:
-		o.Cert = fmt.Sprintf("II=%d is the analytic lower bound (ResMII/RecMII)", ii)
-	}
-	return o
-}
-
-// runProver fills Result.Opt with the exact prover's verdict when one
-// is configured. The heuristic's schedule sc (nil = none) is the
-// feasibility witness at its II once sched.Check accepts it, so the
-// exact search only refutes smaller IIs; a schedule that fails the
-// check proves nothing, and the exact search decides alone. The
-// heuristic's II counts even when register pressure rejected the
-// schedule — the gap question is about the II.
-func runProver(res *Result, g *sched.Graph, d *machine.Desc, cfg Config, sc *sched.Schedule, maxII int) {
-	if cfg.Prove == nil || res.Opt != nil {
-		return
-	}
+	// The heuristic's schedule is the feasibility witness at its II once
+	// sched.Check accepts it; one that fails the check proves nothing,
+	// and the exact search decides alone. The II counts even when
+	// register pressure rejected the schedule — the gap question is
+	// about the II.
 	heurII := 0
 	if sched.Check(g, d, sc) == nil {
 		heurII = sc.II
 	}
 	res.Opt = sched.Prove(g, d, cfg.Prove, heurII, maxII)
+	if s := res.Opt.Schedule; s != nil && sched.Check(g, d, s) == nil {
+		kept := *res
+		kept.take(ins, g, d, s)
+		if kept.OK {
+			*res = kept
+		}
+	}
+	return res
+}
+
+// take fills the schedule-derived fields from s — II, schedule length,
+// stages and register pressure — and accepts s unless its pressure
+// exceeds the machine's register files.
+func (r *Result) take(ins []*ir.Instr, g *sched.Graph, d *machine.Desc, s *sched.Schedule) {
+	sl := 0
+	for i, t := range s.Time {
+		if e := t + g.Nodes[i].Lat; e > sl {
+			sl = e
+		}
+	}
+	r.II = s.II
+	r.SL = sl + d.Lat.Branch
+	r.Stages = (r.SL + s.II - 1) / s.II
+	r.PressInt, r.PressFloat = pressure(ins, s.Time, s.II)
+	r.OK = r.PressInt <= d.IntRegs && r.PressFloat <= d.FPRegs
+	r.Reason = ""
+	if !r.OK {
+		r.Reason = fmt.Sprintf("register pressure (%d int / %d fp) exceeds file (%d/%d)",
+			r.PressInt, r.PressFloat, d.IntRegs, d.FPRegs)
+	}
 }
 
 func withoutBranch(ins []*ir.Instr) []*ir.Instr {

@@ -1,6 +1,7 @@
 package ims
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestEmptyBody(t *testing.T) {
 // brokenScheduler claims a schedule at every II it is asked for, with
 // every instruction issued at cycle 0: a backend bug whose output fails
 // sched.Check on any loop with a latency-carrying dependence.
-type brokenScheduler struct{ Heuristic }
+type brokenScheduler struct{}
 
 func (brokenScheduler) Schedule(g *sched.Graph, _ *machine.Desc, ii int) (*sched.Schedule, error) {
 	return &sched.Schedule{II: ii, Time: make([]int, g.N())}, nil
@@ -176,21 +177,96 @@ func (brokenScheduler) Schedule(g *sched.Graph, _ *machine.Desc, ii int) (*sched
 
 // TestProverIgnoresUncheckedSchedule: a heuristic schedule that fails
 // sched.Check is no feasibility witness, so the exact search decides
-// alone and the verdict is never proven-optimal or gap on its word.
+// alone and the verdict is never proven-optimal or gap on its word; the
+// exact schedule it finds is kept in place of the unchecked one.
 func TestProverIgnoresUncheckedSchedule(t *testing.T) {
 	d := machine.IA64Like()
 	b := loopBody(t, retrySrc)
 	prove := &exact.Sched{Budget: -1}
-	r := ScheduleWith(b, d, true, Config{Scheduler: brokenScheduler{}, Prove: prove})
+	r := ScheduleWith(b, d, true, Config{place: brokenScheduler{}, Prove: prove})
 	if r.Opt == nil {
 		t.Fatal("no verdict")
 	}
 	if v := r.Opt.Verdict; v == sched.VerdictOptimal || v == sched.VerdictGap || r.Opt.HeurII != 0 {
 		t.Fatalf("unchecked schedule at II=%d taken as a witness: %+v", r.II, r.Opt)
 	}
+	// Issuing everything at cycle 0 shortens the schedule below any
+	// that honours the loop's latencies.
+	unchecked := ScheduleWith(b, d, true, Config{place: brokenScheduler{}})
+	if r.Opt.Verdict != sched.VerdictExactOnly || !r.OK || r.II != r.Opt.ExactII || r.SL == unchecked.SL {
+		t.Fatalf("exact-only schedule not kept: OK=%v II=%d SL=%d (unchecked SL %d), verdict %+v",
+			r.OK, r.II, r.SL, unchecked.SL, r.Opt)
+	}
 	// The real heuristic's schedule on the same loop is a witness.
 	if r := ScheduleWith(b, d, true, Config{Prove: prove}); r.Opt == nil ||
 		r.Opt.Verdict != sched.VerdictOptimal || r.Opt.HeurII != r.II {
 		t.Fatalf("checked heuristic schedule at II=%d: verdict %+v, want proven-optimal", r.II, r.Opt)
+	}
+}
+
+// TestAdoptionRejectsBadLowerSchedule: a lower schedule the prover hands
+// back replaces the heuristic's only when it passes sched.Check and the
+// register-pressure test. The placement gives up at the first two IIs,
+// so the prover probes below the heuristic's II and reports a gap.
+func TestAdoptionRejectsBadLowerSchedule(t *testing.T) {
+	tiny := machine.IA64Like()
+	tiny.FPRegs = 1 // fewer than the loop's fp values: no schedule fits
+	for _, tc := range []struct {
+		name  string
+		d     *machine.Desc
+		prove sched.Scheduler
+	}{
+		{"fails check", machine.IA64Like(), brokenScheduler{}},
+		{"exceeds register file", tiny, Heuristic{}},
+	} {
+		b := loopBody(t, retrySrc)
+		want := *ScheduleWith(b, tc.d, true, Config{place: &givingUpScheduler{fail: 2}})
+		r := ScheduleWith(b, tc.d, true, Config{place: &givingUpScheduler{fail: 2}, Prove: tc.prove})
+		if r.Opt == nil || r.Opt.Verdict != sched.VerdictGap || r.Opt.Schedule == nil || r.Opt.HeurII != want.II {
+			t.Fatalf("%s: verdict %+v, want a gap below the heuristic's II=%d", tc.name, r.Opt, want.II)
+		}
+		lower := r.Opt.ExactII
+		r.Opt = nil
+		if *r != want {
+			t.Errorf("%s: lower schedule at II=%d replaced the heuristic's result:\n got %+v\nwant %+v",
+				tc.name, lower, *r, want)
+		}
+	}
+}
+
+// TestEffortConfig pins the one validation point of the scheduler and
+// effort names: "exact", or any effort, adds the exact prover at the
+// effort's budget, and the two scheduler names agree at every effort.
+func TestEffortConfig(t *testing.T) {
+	if _, err := EffortConfig("no-such-backend", ""); err == nil ||
+		!strings.Contains(err.Error(), "ims") || !strings.Contains(err.Error(), "exact") {
+		t.Fatalf("unknown scheduler: err %v, want an error listing ims and exact", err)
+	}
+	if _, err := EffortConfig("", "no-such-effort"); err == nil {
+		t.Fatal("unknown effort must error")
+	}
+	for _, name := range []string{"", "ims"} {
+		if cfg, err := EffortConfig(name, ""); err != nil || cfg.Prove != nil {
+			t.Fatalf("EffortConfig(%q, \"\") = %+v, %v; want the heuristic alone", name, cfg, err)
+		}
+	}
+	exactCfg, err := EffortConfig("exact", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if std, _ := EffortConfig("", "standard"); !reflect.DeepEqual(exactCfg, std) {
+		t.Fatalf("exact without an effort = %+v, want ims at standard %+v", exactCfg, std)
+	}
+	for effort, budget := range map[string]int{"quick": 20_000, "standard": 0, "max": -1} {
+		for _, name := range []string{"", "ims", "exact"} {
+			cfg, err := EffortConfig(name, effort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex, ok := cfg.Prove.(*exact.Sched); !ok || ex.Budget != budget {
+				t.Errorf("EffortConfig(%q, %q).Prove = %#v, want the exact backend at budget %d",
+					name, effort, cfg.Prove, budget)
+			}
+		}
 	}
 }

@@ -42,7 +42,7 @@ func TestPriorityDerivedOncePerIISearch(t *testing.T) {
 	b := loopBody(t, retrySrc)
 	s := &givingUpScheduler{fail: 5}
 	before := sched.PriorityComputations()
-	r := ScheduleWith(b, d, true, Config{Scheduler: s})
+	r := ScheduleWith(b, d, true, Config{place: s})
 	if !r.OK {
 		t.Fatalf("rejected: %s", r.Reason)
 	}
@@ -66,7 +66,7 @@ func BenchmarkIIRetrySearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := &givingUpScheduler{fail: 8}
-		if r := ScheduleWith(blk, d, true, Config{Scheduler: s}); !r.OK {
+		if r := ScheduleWith(blk, d, true, Config{place: s}); !r.OK {
 			b.Fatal(r.Reason)
 		}
 	}

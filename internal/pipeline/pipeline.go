@@ -43,26 +43,19 @@ type Compiler struct {
 	// Window bounds the list scheduler's program-order lookahead
 	// (0 = unbounded). Weak compilers schedule within a small window.
 	Window int
-	// Scheduler names the modulo-scheduling backend for IMS-bearing
-	// compiles: "" or "ims" (Rau's heuristic, the default) or "exact"
-	// (the SDC-based exact scheduler, whose first accepted II is proven
-	// minimal). Resolved through the sched registry, so an unknown name
-	// is a compile-time error, never a silent fallback.
+	// Scheduler selects the modulo scheduling of IMS-bearing compiles:
+	// "" or "ims" (Rau's heuristic alone, the default) or "exact" (the
+	// heuristic's schedule, exact refutation of every II below it, and a
+	// lower exact schedule kept when one exists). Resolved by
+	// ims.EffortConfig, so an unknown name is a compile-time error,
+	// never a silent fallback.
 	Scheduler string
-	// Effort tunes the exact search budget: "" or "standard" (the
-	// default budget), "quick" (a small budget), "max" (unlimited).
-	// Under the heuristic backend a non-empty effort additionally runs
-	// the exact prover after the II search, attaching the optimality
-	// verdict (Result.Opt) at that effort.
+	// Effort sets the exact search budget: "" or "standard" (the
+	// default budget), "quick" (a small budget), "max" (unlimited). A
+	// non-empty effort runs the exact prover under either scheduler
+	// name, attaching the optimality verdict (Result.Opt) at that
+	// effort.
 	Effort string
-}
-
-// SchedulerConfig resolves a scheduler name and effort level into the
-// ims backend configuration (see ims.EffortConfig). The pipeline, the
-// CLIs and slmsd all validate through it, so unknown names and effort
-// levels come back as errors listing the accepted values.
-func SchedulerConfig(scheduler, effort string) (ims.Config, error) {
-	return ims.EffortConfig(scheduler, effort)
 }
 
 // Standard final-compiler configurations.
@@ -190,7 +183,7 @@ func scheduleFor(f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
 // out of the concurrent phase).
 func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	done := ctx.Done()
-	imsCfg, err := SchedulerConfig(cc.Scheduler, cc.Effort)
+	imsCfg, err := ims.EffortConfig(cc.Scheduler, cc.Effort)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}

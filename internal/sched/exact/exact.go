@@ -1,7 +1,8 @@
 // Package exact implements an SDC-based exact modulo scheduler: at a
 // fixed candidate II it either returns a schedule or an UNSAT
-// certificate proving none exists, which turns the II search into a
-// per-loop optimality proof (see sched.Prove).
+// certificate proving none exists. sched.Prove runs it below the
+// heuristic's schedule, which turns each loop's schedule into an
+// optimality proof or a lower schedule.
 //
 // Formulation. Issue times must satisfy the system of difference
 // constraints (SDC) the dependence edges induce,
@@ -39,38 +40,25 @@ import (
 	"slms/internal/sched"
 )
 
-func init() { sched.Register(&Sched{}) }
-
 // DefaultBudget is the branch-and-bound node budget when none is
 // configured: generous for kernel-scale loop bodies (tens of
 // instructions), final for adversarial ones — the prover then reports
 // budget-exhausted instead of stalling a compile.
 const DefaultBudget = 200_000
 
-// Sched is the exact backend. The zero value uses DefaultBudget; it is
-// registered as "exact".
+// Sched is the exact backend. The zero value uses DefaultBudget.
 type Sched struct {
 	// Budget bounds the branch-and-bound nodes expanded per Schedule
 	// call (0 = DefaultBudget, negative = unlimited).
 	Budget int
 }
 
-// Name implements sched.Scheduler.
-func (*Sched) Name() string { return "exact" }
-
-// Caps implements sched.Scheduler: failures are proofs.
-func (*Sched) Caps() sched.Caps { return sched.Caps{Exact: true} }
-
-// WithBudget returns a copy with the given node budget (the effort
-// knob the pipeline maps request "effort" levels onto).
-func (s *Sched) WithBudget(nodes int) *Sched { return &Sched{Budget: nodes} }
-
 // Schedule implements sched.Scheduler: a schedule at ii, an
 // *sched.Unsat proof that none exists, or an *sched.Budget cut.
 func (s *Sched) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
 	n := g.N()
 	if ii < 1 {
-		return nil, &sched.Unsat{II: ii, Kind: UnsatTrivialKind(), Visited: 1}
+		return nil, &sched.Unsat{II: ii, Kind: sched.UnsatResource, Visited: 1}
 	}
 	if n == 0 {
 		return &sched.Schedule{II: ii, Time: []int{}}, nil
@@ -90,9 +78,6 @@ func (s *Sched) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedu
 	st := newSearch(g, d, ii, s.Budget)
 	return st.run()
 }
-
-// UnsatTrivialKind is the certificate kind for a nonsensical II.
-func UnsatTrivialKind() sched.UnsatKind { return sched.UnsatResource }
 
 // resourceUnsat checks the per-class and issue-width counting bounds.
 func resourceUnsat(g *sched.Graph, d *machine.Desc, ii int) *sched.Unsat {

@@ -310,16 +310,6 @@ func TestMonotoneInII(t *testing.T) {
 	}
 }
 
-func TestRegistryHasExact(t *testing.T) {
-	s, err := sched.Get("exact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Caps().Exact {
-		t.Fatal("registered exact backend does not claim Caps().Exact")
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, want int64 }{
 		{7, 2, 4}, {6, 2, 3}, {-7, 2, -3}, {-6, 2, -3}, {0, 3, 0}, {1, 3, 1}, {-1, 3, 0},

@@ -72,6 +72,9 @@ func FuzzExactScheduler(f *testing.F) {
 // the heuristic's (checked) schedule, Prove must prove minimal exactly
 // the oracle's smallest feasible II at or below it — a gap below the
 // witness, proven-optimal at it — unless it declares a budget cut.
+// Without a witness, searching up to that minimum, it must find it
+// (exact-only). Every verdict must also keep the hand-back contract
+// (see checkHandedBack).
 func FuzzProve(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 1, 1, 2, 0, 1, 0, 1, 2, 1, 1, 1})
 	f.Add([]byte{2, 3, 2, 2, 2, 4, 0, 1, 0, 2, 1, 0, 1, 2})
@@ -102,6 +105,7 @@ func FuzzProve(f *testing.F) {
 			}
 		}
 		o := sched.Prove(g, d, &Sched{Budget: 50_000}, heurII, heurII+g.N()+8)
+		checkHandedBack(t, g, d, o)
 		if o.Verdict == sched.VerdictBudget {
 			return // cut before deciding; no minimum to compare
 		}
@@ -113,7 +117,34 @@ func FuzzProve(f *testing.F) {
 			t.Fatalf("Prove(heurII=%d) = %+v, oracle minimum %d\nnodes=%+v edges=%+v units=%v iw=%d",
 				heurII, o, want, g.Nodes, g.Edges, d.Units, d.IssueWidth)
 		}
+
+		o = sched.Prove(g, d, &Sched{Budget: 50_000}, 0, want)
+		checkHandedBack(t, g, d, o)
+		if o.Verdict != sched.VerdictBudget && (o.Verdict != sched.VerdictExactOnly || o.ExactII != want) {
+			t.Fatalf("Prove(no witness, maxII=%d) = %+v, want exact-only at the oracle minimum\nnodes=%+v edges=%+v units=%v iw=%d",
+				want, o, g.Nodes, g.Edges, d.Units, d.IssueWidth)
+		}
 	})
+}
+
+// checkHandedBack holds Prove's hand-back contract: a schedule comes
+// back exactly with the gap and exact-only verdicts — the ones where
+// the caller holds none at ExactII — at ExactII, and passes sched.Check.
+func checkHandedBack(t *testing.T, g *sched.Graph, d *machine.Desc, o *sched.Optimality) {
+	t.Helper()
+	if want := o.Verdict == sched.VerdictGap || o.Verdict == sched.VerdictExactOnly; (o.Schedule != nil) != want {
+		t.Fatalf("verdict %+v hands back schedule %+v", o, o.Schedule)
+	}
+	if o.Schedule == nil {
+		return
+	}
+	if o.Schedule.II != o.ExactII {
+		t.Fatalf("handed-back schedule at II=%d, ExactII %d", o.Schedule.II, o.ExactII)
+	}
+	if err := sched.Check(g, d, o.Schedule); err != nil {
+		t.Fatalf("handed-back schedule fails the check: %v\nnodes=%+v edges=%+v units=%v iw=%d",
+			err, g.Nodes, g.Edges, d.Units, d.IssueWidth)
+	}
 }
 
 // decodeInstance builds a bounded instance from fuzz bytes:

@@ -46,6 +46,10 @@ type Optimality struct {
 	Cert string `json:"cert,omitempty"`
 	// Visited is the branch-and-bound effort the proof spent.
 	Visited int `json:"visited,omitempty"`
+	// Schedule is the exact backend's schedule at ExactII, set only for
+	// the gap and exact-only verdicts — the ones where the caller holds
+	// no schedule at that II. The backend's word alone: callers check it.
+	Schedule *Schedule `json:"-"`
 }
 
 // Prove establishes the minimal feasible II of the graph with an exact
@@ -57,13 +61,10 @@ type Optimality struct {
 // is the proven minimum (a gap), and when every probe is refuted — or
 // the lower bound already equals heurII — heurII itself is proven
 // optimal. heurII = 0 (the heuristic found nothing) searches up to
-// maxII instead. A budget cut ends the proof with VerdictBudget. The
-// backend must be exact (Caps().Exact).
+// maxII instead. ex must be exact: a failure at an II is an *Unsat
+// proof or a *Budget cut. A budget cut, or any other failure, ends the
+// proof with VerdictBudget.
 func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimality {
-	if !ex.Caps().Exact {
-		return &Optimality{Verdict: VerdictBudget, HeurII: heurII,
-			Cert: fmt.Sprintf("backend %q is not exact; nothing can be proven", ex.Name())}
-	}
 	n := g.N()
 	if n == 0 {
 		return &Optimality{Verdict: VerdictOptimal, HeurII: heurII, ExactII: heurII,
@@ -100,9 +101,10 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 	lastUnsat := lbCert
 	visited := 0
 	// settle reports ii as the proven minimum: every smaller II is
-	// refuted, lastUnsat being the refutation of ii−1.
-	settle := func(ii int) *Optimality {
-		o := &Optimality{HeurII: heurII, ExactII: ii, Visited: visited}
+	// refuted, lastUnsat being the refutation of ii−1, and s is the
+	// exact schedule there (nil at the witness).
+	settle := func(ii int, s *Schedule) *Optimality {
+		o := &Optimality{HeurII: heurII, ExactII: ii, Visited: visited, Schedule: s}
 		if ii == 1 {
 			o.Cert = "II=1 is the unconditional minimum"
 		} else if lastUnsat != nil {
@@ -123,7 +125,7 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 		s, err := ex.Schedule(g, d, ii)
 		if s != nil {
 			visited += s.Visited
-			return settle(ii)
+			return settle(ii, s)
 		}
 		var u *Unsat
 		var bd *Budget
@@ -136,15 +138,15 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 				Visited: visited + bd.Visited,
 				Cert:    fmt.Sprintf("budget cut while probing II=%d (%d nodes expanded)", ii, visited+bd.Visited)}
 		default:
-			// A non-proof failure from a backend claiming exactness is a
-			// contract violation; surface it rather than mislabeling.
+			// A failure that is no proof (a heuristic's ErrGiveUp)
+			// proves nothing; surface it rather than mislabeling.
 			return &Optimality{Verdict: VerdictBudget, HeurII: heurII, Visited: visited,
 				Cert: fmt.Sprintf("exact backend failed without a proof at II=%d: %v", ii, err)}
 		}
 	}
 	if heurII > 0 {
 		// Every II below the witness is refuted (or below the bound).
-		return settle(heurII)
+		return settle(heurII, nil)
 	}
 	// No witness and every II up to maxII refuted.
 	o := &Optimality{Verdict: VerdictInfeasible, Visited: visited}

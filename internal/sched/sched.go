@@ -1,16 +1,17 @@
-// Package sched defines the pluggable machine-level modulo-scheduler
-// interface the strong final compilers draw from. A Scheduler attempts
-// to place the instructions of one loop body into a modulo reservation
-// table at a fixed candidate initiation interval; the II search, the
-// MII lower bounds and the register-pressure rejection stay in the
-// driver (package ims), so heuristic and exact backends are
-// interchangeable per attempt.
+// Package sched defines the machine-level modulo-scheduling interface
+// the strong final compilers draw from. A Scheduler attempts to place
+// the instructions of one loop body into a modulo reservation table at
+// a fixed candidate initiation interval; the II search, the MII lower
+// bounds and the register-pressure test stay in the driver (package
+// ims).
 //
-// Two backends register here: "ims", Rau's iterative modulo scheduling
-// heuristic (package ims), and "exact", an SDC-based exact scheduler
-// (package sched/exact) whose per-II failures are proofs — it returns
-// an UNSAT certificate instead of giving up, which is what turns the II
-// search into an optimality prover (see prove.go).
+// Two implementations exist: Rau's iterative modulo scheduling
+// heuristic (package ims), which always places the loop, and an
+// SDC-based exact scheduler (package sched/exact) whose per-II failures
+// are proofs — it returns an UNSAT certificate instead of giving up.
+// Prove (prove.go) runs the exact scheduler below the heuristic's
+// checked schedule, refuting the smaller IIs or handing back a lower
+// schedule.
 package sched
 
 import (
@@ -69,20 +70,8 @@ type Schedule struct {
 	Visited int
 }
 
-// Caps describes what a backend's answers mean.
-type Caps struct {
-	// Exact: a failure at II proves no schedule exists at that II (the
-	// backend returns *Unsat certificates, not ErrGiveUp), so the first
-	// II it schedules is the proven minimum.
-	Exact bool
-}
-
 // Scheduler is one modulo-scheduling backend.
 type Scheduler interface {
-	// Name is the stable registry key ("ims", "exact").
-	Name() string
-	// Caps reports the backend's capability flags.
-	Caps() Caps
 	// Schedule attempts to place every node at initiation interval ii.
 	// Failures are ErrGiveUp (heuristic exhausted, proves nothing), an
 	// *Unsat certificate (exact backends), or *Budget (exact backend

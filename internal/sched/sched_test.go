@@ -8,8 +8,6 @@ import (
 	"slms/internal/machine"
 	"slms/internal/sched"
 	"slms/internal/sched/exact"
-
-	_ "slms/internal/ims" // register "ims"
 )
 
 func testMachine(intU, fpU, memU, iw int) *machine.Desc {
@@ -19,33 +17,6 @@ func testMachine(intU, fpU, memU, iw int) *machine.Desc {
 		Units:      [4]int{intU, fpU, memU, 1},
 		Lat:        machine.Lat{IntOp: 1, FloatOp: 1, Load: 1, Store: 1, Branch: 1},
 		IntRegs:    64, FPRegs: 64,
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	names := sched.Names()
-	for _, want := range []string{"ims", "exact"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry %v missing %q", names, want)
-		}
-	}
-	def, err := sched.Get("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Name() != sched.DefaultName {
-		t.Fatalf("empty name resolved %q, want %q", def.Name(), sched.DefaultName)
-	}
-	if _, err := sched.Get("no-such-backend"); err == nil {
-		t.Fatal("unknown name must error")
-	} else if !strings.Contains(err.Error(), "ims") {
-		t.Fatalf("error should list registered names, got: %v", err)
 	}
 }
 
@@ -152,6 +123,9 @@ func TestProveExactOnly(t *testing.T) {
 	if o.Verdict != sched.VerdictExactOnly || o.ExactII != 1 {
 		t.Fatalf("verdict %+v, want exact-only at 1", o)
 	}
+	if o.Schedule == nil || o.Schedule.II != 1 {
+		t.Fatalf("exact-only verdict hands back schedule %+v, want one at II=1", o.Schedule)
+	}
 }
 
 func TestProveInfeasible(t *testing.T) {
@@ -187,17 +161,14 @@ func TestProveBudget(t *testing.T) {
 
 // scriptedExact is an exact backend that answers from a script: it
 // schedules at the IIs in feasible (a valid schedule is not needed —
-// Prove never checks the backend's schedules) and refutes every other
-// II with a search certificate, recording each probe. With t set, any
-// probe fails the test.
+// Prove never checks the backend's schedules; its callers do) and
+// refutes every other II with a search certificate, recording each
+// probe. With t set, any probe fails the test.
 type scriptedExact struct {
 	t        *testing.T
 	feasible map[int]bool
 	probes   []int
 }
-
-func (*scriptedExact) Name() string     { return "scripted" }
-func (*scriptedExact) Caps() sched.Caps { return sched.Caps{Exact: true} }
 
 func (s *scriptedExact) Schedule(g *sched.Graph, _ *machine.Desc, ii int) (*sched.Schedule, error) {
 	if s.t != nil {
@@ -263,6 +234,9 @@ func TestProveProbesBelowWitness(t *testing.T) {
 	if !strings.Contains(o.Cert, "II=5 infeasible") {
 		t.Fatalf("cert %q, want the refutation of II=5", o.Cert)
 	}
+	if o.Schedule != nil {
+		t.Fatalf("proven-optimal verdict hands back a schedule at II=%d; the caller holds the witness", o.Schedule.II)
+	}
 
 	ex = &scriptedExact{feasible: map[int]bool{4: true}}
 	o = sched.Prove(g, d, ex, 6, 20)
@@ -272,16 +246,31 @@ func TestProveProbesBelowWitness(t *testing.T) {
 	if o.Verdict != sched.VerdictGap || o.ExactII != 4 || o.Gap != 2 || o.Visited != 8 {
 		t.Fatalf("verdict %+v, want gap 2 at 4 after 8 nodes", o)
 	}
+	if o.Schedule == nil || o.Schedule.II != 4 {
+		t.Fatalf("gap verdict hands back schedule %+v, want the backend's at II=4", o.Schedule)
+	}
 }
 
-func TestProveRejectsNonExact(t *testing.T) {
-	heur, err := sched.Get("ims")
-	if err != nil {
-		t.Fatal(err)
+// givingUp is a backend that gives up at every II, as a heuristic may.
+type givingUp struct{}
+
+func (givingUp) Schedule(*sched.Graph, *machine.Desc, int) (*sched.Schedule, error) {
+	return nil, sched.ErrGiveUp
+}
+
+// TestProveGiveUpIsBudgetExhausted: a failure below the witness that is
+// no proof proves nothing — the verdict is budget-exhausted, never
+// proven-optimal on the strength of a backend that gave up.
+func TestProveGiveUpIsBudgetExhausted(t *testing.T) {
+	d := testMachine(1, 1, 1, 4)
+	g := &sched.Graph{Nodes: []sched.Node{
+		{FU: machine.FUInt, Lat: 1}, {FU: machine.FUInt, Lat: 1}, {FU: machine.FUInt, Lat: 1},
+	}} // ResMII 3
+	o := sched.Prove(g, d, givingUp{}, 5, 20)
+	if o.Verdict != sched.VerdictBudget || o.ExactII != 0 || o.Schedule != nil {
+		t.Fatalf("verdict %+v, want budget-exhausted with no minimum", o)
 	}
-	g := &sched.Graph{Nodes: []sched.Node{{FU: machine.FUInt, Lat: 1}}}
-	o := sched.Prove(g, testMachine(1, 1, 1, 1), heur, 1, 4)
-	if o.Verdict != sched.VerdictBudget || !strings.Contains(o.Cert, "not exact") {
-		t.Fatalf("non-exact backend accepted: %+v", o)
+	if !strings.Contains(o.Cert, "without a proof at II=3") {
+		t.Fatalf("cert %q, want the backend's failure without a proof at II=3", o.Cert)
 	}
 }

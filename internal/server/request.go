@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"slms/internal/core"
+	"slms/internal/ims"
 	"slms/internal/machine"
 	"slms/internal/pipeline"
 )
@@ -27,10 +28,12 @@ type Request struct {
 	Machine  string `json:"machine,omitempty"`
 	Compiler string `json:"compiler,omitempty"`
 	O0       bool   `json:"o0,omitempty"`
-	// Scheduler selects the modulo-scheduling backend for strong-compiler
-	// targets: "ims" (default) or "exact". Effort tunes the exact search
-	// budget ("quick", "standard", "max"); under "ims" a non-empty effort
-	// additionally proves the optimality gap of every scheduled loop.
+	// Scheduler selects the modulo scheduling of strong-compiler
+	// targets: "ims" (the heuristic alone, default) or "exact" (the
+	// heuristic's schedule, exact refutation of every II below it, and
+	// a lower exact schedule kept when one exists). Effort sets the
+	// exact search budget ("quick", "standard", "max"); under "ims" a
+	// non-empty effort runs the same exact refutation.
 	Scheduler string `json:"scheduler,omitempty"`
 	Effort    string `json:"effort,omitempty"`
 	// Paper selects the paper's `a; || b;` par-group rendering for
@@ -88,7 +91,7 @@ func decodeRequestBytes(body []byte, maxBody int64, tooLarge bool) (*Request, *a
 	if req.TimeoutMS < 0 {
 		return nil, errBadRequest("timeout_ms must be non-negative, got %d", req.TimeoutMS)
 	}
-	if _, err := pipeline.SchedulerConfig(req.Scheduler, req.Effort); err != nil {
+	if _, err := ims.EffortConfig(req.Scheduler, req.Effort); err != nil {
 		return nil, errBadRequest("%v", err)
 	}
 	if o := req.Options; o != nil {
