@@ -6,10 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK_PKG = honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build test race vet lint fuzz bench bench-parallel figures profile cycleprofile gate baseline trajectory serve loadsmoke clean
-
-# The committed gate baseline (a two-leg slms-bench-legs/v1 record).
-SLMS_GATE_BASELINE ?= BENCH_7.json
+.PHONY: all build test race vet lint fuzz bench figures profile cycleprofile serve loadsmoke clean
 
 all: build vet test
 
@@ -50,48 +47,21 @@ fuzz:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/bench/ ./internal/pipeline/ ./internal/server/
 
-# The two-leg trajectory: full suite serial then parallel, cold caches
-# each, byte-identical figures enforced; writes BENCH_legs.json.
-bench-parallel:
-	$(GO) run ./cmd/slmsbench -legs -json BENCH_legs.json
-
-# Regenerate all paper figures and the BENCH_1.json harness stats.
+# Regenerate all paper figures and the per-kernel cycle totals into the
+# golden that TestHarnessDeterminism pins; review the diff before
+# committing it. Timing is perfbench's job (bash perfbench/run.sh).
 figures:
-	$(GO) run ./cmd/slmsbench
+	$(GO) run ./cmd/slmsbench > internal/bench/testdata/figures.golden
 
 # Figures with CPU + heap profiles for perf work.
 profile:
-	$(GO) run ./cmd/slmsbench -cpuprofile cpu.pprof -memprofile mem.pprof -json ""
+	$(GO) run ./cmd/slmsbench -cpuprofile cpu.pprof -memprofile mem.pprof
 
 # Simulated-cycle attribution for the whole suite: where every cycle of
 # every kernel went (issue, hazard, miss, fill, prologue/epilogue,
 # branch). Explore with `go tool pprof -http=: cycles.pb.gz`.
 cycleprofile:
-	$(GO) run ./cmd/slmsbench -q -profile cycles.pb.gz -json ""
-
-# The CI regression gates against $(SLMS_GATE_BASELINE): per-kernel
-# simulated cycles (deterministic, >5% growth fails) and parallel
-# throughput/scaling (cycles/second of the parallel leg; the scaling
-# floor is skipped on single-proc hosts).
-gate:
-	SLMS_REGRESSION_GATE=1 SLMS_GATE_BASELINE=$(abspath $(SLMS_GATE_BASELINE)) \
-		$(GO) test -run TestRegressionGateAgainstBaseline -v ./internal/bench/compare/
-	SLMS_THROUGHPUT_GATE=1 SLMS_GATE_BASELINE=$(abspath $(SLMS_GATE_BASELINE)) \
-		$(GO) test -run TestThroughputGateAgainstBaseline -v ./internal/bench/compare/
-	$(GO) test -run TestPrecisionGate -v ./internal/bench/
-
-# Re-record the regression-gate baseline after an intentional
-# scheduling or simulator change (cycles are deterministic, so this is
-# reproducible on any machine; the throughput leg is host-specific but
-# gated with wide thresholds).
-baseline:
-	$(GO) run ./cmd/slmsbench -q -legs -json $(SLMS_GATE_BASELINE) > /dev/null
-
-# Fold every committed BENCH_*.json snapshot into one time-series
-# report (markdown to stdout, TRAJECTORY.json on disk); exits 1 when
-# any adjacent pair regressed. CI uploads both as artifacts.
-trajectory:
-	$(GO) run ./cmd/slmsbench -trajectory -json TRAJECTORY.json
+	$(GO) run ./cmd/slmsbench -q -profile cycles.pb.gz
 
 # Run the compilation service on the default address (127.0.0.1:8347).
 serve:

@@ -173,9 +173,13 @@ for (i = 1; i < 190; i++) { t = A[i-1]; B[i] = B[i] + t; }
 	}
 }
 
+// TestCLISlmsbenchSingleFigure covers slmsbench's listing and
+// single-figure modes, and checks that its default output is exactly
+// the committed golden that internal/bench's TestHarnessDeterminism
+// pins, so the documented regeneration command reproduces that file.
 func TestCLISlmsbenchSingleFigure(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds binaries and runs a figure")
+		t.Skip("builds binaries and runs the figures")
 	}
 	bin := buildTool(t, "slmsbench")
 	out, _ := runTool(t, bin, "", "-list")
@@ -185,6 +189,14 @@ func TestCLISlmsbenchSingleFigure(t *testing.T) {
 	fig, _ := runTool(t, bin, "", "-figure", "caseB")
 	if !strings.Contains(fig, "Case B") || !strings.Contains(fig, "xpow") {
 		t.Errorf("figure output unexpected:\n%s", fig)
+	}
+	golden, err := os.ReadFile(filepath.Join("internal", "bench", "testdata", "figures.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all, _ := runTool(t, bin, ""); all != string(golden) {
+		t.Error("slmsbench output differs from the golden; see " +
+			"diff <(go run ./cmd/slmsbench) internal/bench/testdata/figures.golden")
 	}
 }
 
@@ -592,7 +604,7 @@ func TestCLIContract(t *testing.T) {
 		{"slmsexplain", []string{"-"}, nil, 1},
 		{"slmssim", []string{"-machine", "arm7", "-"}, []string{"-machine", "cray1", "-"}, 1},
 		{"slmsprof", []string{"-machine", "arm7", "-top", "3", "-"}, []string{"-format", "yaml", "-"}, 1},
-		{"slmsbench", []string{"-figure", "caseB"}, []string{"-compare", "only-one.json"}, 1},
+		{"slmsbench", []string{"-figure", "caseB"}, []string{"-effort", "bogus"}, 1},
 		{"slmsfr", []string{"-"}, []string{"-lint", "-replay", "-"}, 1},
 	}
 	goldenDump, err := os.ReadFile(filepath.Join("internal", "obs", "flight", "testdata", "golden-sigquit.json"))
@@ -650,7 +662,11 @@ func TestCLIContract(t *testing.T) {
 			if tc.usageArgs != nil {
 				usages = append(usages, tc.usageArgs)
 			}
-			if tc.name != "slmsbench" { // slmsbench needs no file argument
+			if tc.name == "slmsbench" { // no mode takes an argument
+				usages = append(usages,
+					[]string{"-optgap", "-effort", "bogus"},
+					[]string{"extra.json"}) // stray argument
+			} else {
 				usages = append(usages, nil) // missing argument
 			}
 			for _, args := range usages {
@@ -661,9 +677,10 @@ func TestCLIContract(t *testing.T) {
 				if code != 2 {
 					t.Errorf("%v exited %d, want usage code 2", args, code)
 				}
-				// Bad flag *values* (as opposed to flag-package parse
-				// errors) report through the slog wrapper.
-				if len(args) > 0 && tc.usageArgs != nil && args[0] == tc.usageArgs[0] &&
+				// Bad flag *values* and stray arguments (as opposed to
+				// flag-package parse errors and the missing-argument
+				// usage line) report through the slog wrapper.
+				if len(args) > 0 && args[0] != "-definitely-not-a-flag" &&
 					!strings.Contains(stderr, "slms: error:") {
 					t.Errorf("%v did not report through the slog wrapper:\n%s", args, stderr)
 				}

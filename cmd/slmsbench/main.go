@@ -3,49 +3,31 @@
 //
 // Usage:
 //
-//	slmsbench              # all figures + BENCH_1.json harness stats
+//	slmsbench              # all figures, then per-kernel simulated cycles
 //	slmsbench -figure 14   # one figure
 //	slmsbench -ablations   # design-choice ablation studies
 //	slmsbench -optgap      # heuristic-vs-exact scheduler optimality census
 //	slmsbench -list        # list available figures
 //
-// The all-figures run writes a machine-readable harness trajectory
-// (wall time per figure, simulated cycles, cycles/second, artifact
-// cache hit rate) to the -json path. -cpuprofile/-memprofile write
-// pprof profiles of whichever mode runs.
+// The all-figures output is deterministic: it is committed as
+// internal/bench/testdata/figures.golden, which the tests compare byte
+// for byte. -cpuprofile/-memprofile write pprof profiles of whichever
+// mode runs.
 //
 // -profile FILE turns the simulator's cycle-attribution profiler on
 // for the run and writes the suite's per-kernel profiles as a pprof
-// protobuf (readable with `go tool pprof FILE`); the BENCH json then
-// also carries per-kernel cause totals.
-//
-// -compare OLD.json NEW.json diffs two harness trajectories
-// benchstat-style (per-kernel cycle deltas gate deterministically;
-// wall-time deltas carry confidence intervals when either side has
-// repeat samples) and exits 1 when any kernel's simulated cycles
-// regressed beyond -threshold.
-//
-// -trajectory folds every BENCH_*.json snapshot (the positional
-// arguments, or a BENCH_*.json glob of the working directory when none
-// are given) into one time-series report — cycles/second for both
-// legs, cache split, precision census, per-phase seconds — printing
-// markdown to stdout, writing the JSON document to the -json path
-// (default TRAJECTORY.json in this mode), and exiting 1 when any
-// adjacent pair regressed beyond -threshold.
+// protobuf (readable with `go tool pprof FILE`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
 	"slms/internal/bench"
-	"slms/internal/bench/compare"
-	"slms/internal/bench/trajectory"
+	"slms/internal/ims"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
@@ -60,40 +42,24 @@ func main() {
 	effort := flag.String("effort", "standard", "exact-prover effort for -optgap: quick, standard or max")
 	extensions := flag.Bool("extensions", false, "measure the §10 while-loop and frequent-path extensions")
 	summary := flag.Bool("summary", false, "one line per figure: the reproduction scoreboard")
-	legs := flag.Bool("legs", false, "run the suite twice (serial + parallel legs, cold caches) and write a two-leg trajectory")
-	jsonPath := flag.String("json", "BENCH_1.json", "write harness stats for the all-figures run here (empty = skip)")
 	workers := flag.Int("workers", 0, "measurement worker-pool size (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	verify := flag.Bool("verify", false, "verify every SLMS transformation before compiling")
 	profPath := flag.String("profile", "", "enable cycle attribution and write suite profiles (pprof protobuf) here")
-	doCompare := flag.Bool("compare", false, "compare two BENCH json files given as arguments; exit 1 on cycle regression")
-	doTrajectory := flag.Bool("trajectory", false, "fold BENCH json snapshots (arguments, or a BENCH_*.json glob) into a time-series report; exit 1 on regression")
-	threshold := flag.Float64("threshold", compare.DefaultCycleThreshold,
-		"relative cycle growth that -compare treats as a regression")
 	tele := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	// Flag misuse is a usage error (exit 2), distinct from failed work
+	// (exit 1); check it before doing any work, whichever mode runs.
+	if flag.NArg() != 0 {
+		obs.Usagef("slmsbench takes no positional arguments (got %q)", flag.Arg(0))
+	}
+	if _, err := ims.EffortConfig("", *effort); err != nil {
+		obs.Usagef("%v", err)
+	}
 	tele.Activate()
 	pipeline.SetVerify(*verify)
 
-	if *doCompare {
-		if flag.NArg() != 2 {
-			obs.Errorf("usage: slmsbench -compare OLD.json NEW.json")
-			os.Exit(2)
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), *threshold); err != nil {
-			obs.Errorf("%v", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *doTrajectory {
-		if err := runTrajectory(flag.Args(), *jsonPath, *threshold); err != nil {
-			obs.Errorf("%v", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *profPath != "" {
 		prof.SetEnabled(true)
 	}
@@ -140,7 +106,7 @@ func main() {
 		return
 	}
 
-	err := run(*figure, *list, *ablations, *census, *extensions, *summary, *legs, *jsonPath)
+	err := run(*figure, *list, *ablations, *census, *extensions, *summary)
 	if err == nil && *profPath != "" {
 		err = writeSuiteProfiles(*profPath)
 	}
@@ -151,76 +117,6 @@ func main() {
 		obs.Errorf("%v", err)
 		os.Exit(1)
 	}
-}
-
-// runCompare diffs two BENCH json trajectories and reports regressions.
-// The table is primary output on stdout; the failure itself is an error
-// so -q still exits nonzero on a regression.
-func runCompare(oldPath, newPath string, threshold float64) error {
-	old, err := compare.Load(oldPath)
-	if err != nil {
-		return err
-	}
-	new, err := compare.Load(newPath)
-	if err != nil {
-		return err
-	}
-	rep, err := compare.Compare([]*bench.RunStats{old}, []*bench.RunStats{new},
-		compare.Options{CycleThreshold: threshold})
-	if err != nil {
-		return err
-	}
-	if !obs.Quiet() {
-		fmt.Print(rep.Table())
-	}
-	if rep.Failed() {
-		return fmt.Errorf("%d kernel(s) regressed beyond %.0f%%",
-			len(rep.Regressions), 100*rep.Threshold)
-	}
-	return nil
-}
-
-// runTrajectory folds the given snapshots (or the working directory's
-// BENCH_*.json files) into one time-series report: markdown on stdout,
-// the JSON document at jsonPath, and an error when any adjacent pair
-// regressed.
-func runTrajectory(paths []string, jsonPath string, threshold float64) error {
-	if len(paths) == 0 {
-		var err error
-		paths, err = filepath.Glob("BENCH_*.json")
-		if err != nil {
-			return err
-		}
-		if len(paths) == 0 {
-			return fmt.Errorf("-trajectory: no BENCH_*.json snapshots found")
-		}
-	}
-	s, err := trajectory.Build(paths, threshold)
-	if err != nil {
-		return err
-	}
-	if !obs.Quiet() {
-		fmt.Print(s.Markdown())
-	}
-	// The -json default names the all-figures output; redirect it so
-	// -trajectory never clobbers the BENCH_1.json baseline.
-	if jsonPath == "BENCH_1.json" {
-		jsonPath = "TRAJECTORY.json"
-	}
-	if jsonPath != "" {
-		blob, err := s.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, blob, 0o644); err != nil {
-			return err
-		}
-	}
-	if s.Failed() {
-		return fmt.Errorf("%d regression(s) across the trajectory (threshold %.0f%%)",
-			len(s.Regressions), 100*s.Threshold)
-	}
-	return nil
 }
 
 func writeSuiteProfiles(path string) error {
@@ -237,29 +133,9 @@ func writeSuiteProfiles(path string) error {
 }
 
 // run dispatches one benchmark mode. Kept separate from main so the
-// pprof/json defers above run before a failure exit.
-func run(figure string, list, ablations, census, extensions, summary, legs bool, jsonPath string) error {
+// pprof defers above run before a failure exit.
+func run(figure string, list, ablations, census, extensions, summary bool) error {
 	switch {
-	case legs:
-		figs, stats, err := bench.AllFiguresLegs()
-		if err != nil {
-			return err
-		}
-		for _, f := range figs {
-			fmt.Println(f.Table())
-		}
-		fmt.Printf("legs: serial %.4g cycles/sec, parallel %.4g cycles/sec (%.2fx scaling on %d procs)\n",
-			stats.Serial.CyclesPerSecond, stats.Parallel.CyclesPerSecond,
-			stats.Scaling, stats.Parallel.GoMaxProcs)
-		if jsonPath != "" {
-			blob, err := json.MarshalIndent(stats, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
 	case summary:
 		out, err := bench.Summary()
 		if err != nil {
@@ -303,22 +179,14 @@ func run(figure string, list, ablations, census, extensions, summary, legs bool,
 		}
 		fmt.Println(f.Table())
 	default:
-		figs, stats, err := bench.AllFiguresTimed()
+		figs, err := bench.AllFigures()
 		if err != nil {
 			return err
 		}
 		for _, f := range figs {
 			fmt.Println(f.Table())
 		}
-		if jsonPath != "" {
-			blob, err := json.MarshalIndent(stats, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
+		fmt.Print(bench.CyclesTable())
 	}
 	return nil
 }

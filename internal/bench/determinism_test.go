@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"slms/internal/core"
@@ -11,50 +14,94 @@ import (
 	"slms/internal/source"
 )
 
-// TestHarnessDeterminism checks that the fast path — parallel figure
-// generation over the shared pool, with the artifact/transform caches
-// and the measurement memo all hot — renders byte-identical figure
-// tables to a serial run with every cache disabled.
+// goldenPath holds the harness's full output: every figure table, then
+// CyclesTable. It is exactly the stdout of cmd/slmsbench with no flags;
+// after an intended change to figures or cycles, regenerate it from the
+// repository root with
+//
+//	go run ./cmd/slmsbench > internal/bench/testdata/figures.golden
+const goldenPath = "testdata/figures.golden"
+
+// TestHarnessDeterminism pins the harness output to the golden file,
+// byte for byte, from two renders that share no state: the fast path
+// (figures and their rows fanned out over the shared pool, pipeline
+// parallelism on, every cache and the measurement memo in use) and a
+// fully serial one (one pool worker, one pipeline worker, the artifact
+// and transform caches disabled). Each render starts from cold.
 func TestHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full figure suite twice")
 	}
-	render := func() map[string]string {
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		ResetHarnessState()
 		figs, err := AllFigures()
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[string]string{}
+		var b strings.Builder
 		for _, f := range figs {
-			out[f.ID] = f.Table()
+			b.WriteString(f.Table() + "\n")
 		}
-		return out
+		return b.String() + CyclesTable()
 	}
 
-	ResetMeasurements()
-	parallel := render()
+	fast := render()
+	// A from-cold full run must have done real work in every cache layer.
+	c := snapshotCaches()
+	for _, layer := range []struct {
+		name         string
+		hits, misses int64
+	}{
+		{"parse", c.parseHits, c.parseMisses},
+		{"transform", c.transformHits, c.transformMisses},
+		{"compile", c.compileHits, c.compileMisses},
+	} {
+		if layer.hits+layer.misses == 0 {
+			t.Errorf("cache %s saw no traffic over a full figure run", layer.name)
+		}
+	}
 
-	oldWorkers := Workers()
+	oldWorkers, oldPar := Workers(), pipeline.Parallelism()
 	SetWorkers(1)
+	pipeline.SetParallelism(1)
 	pipeline.SetCacheEnabled(false)
 	core.SetTransformCacheEnabled(false)
-	ResetMeasurements()
 	defer func() {
 		SetWorkers(oldWorkers)
+		pipeline.SetParallelism(oldPar)
 		pipeline.SetCacheEnabled(true)
 		core.SetTransformCacheEnabled(true)
-		ResetMeasurements()
+		ResetHarnessState()
 	}()
 	serial := render()
 
-	if len(parallel) != len(serial) {
-		t.Fatalf("figure count differs: parallel %d, serial %d", len(parallel), len(serial))
-	}
-	for id, want := range serial {
-		if got := parallel[id]; got != want {
-			t.Errorf("%s: parallel+cached table differs from serial+uncached:\n--- serial ---\n%s--- parallel ---\n%s", id, want, got)
+	for _, r := range []struct{ name, got string }{{"fast", fast}, {"serial", serial}} {
+		if r.got != string(golden) {
+			t.Errorf("%s render differs from %s at %s", r.name, goldenPath, firstDiff(string(golden), r.got))
 		}
 	}
+}
+
+// firstDiff locates the first line where got departs from want.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\nwant %q\ngot  %q", i+1, wl, gl)
+		}
+	}
+	return "no line (lengths differ)"
 }
 
 // TestCachedArtifactMetricsIdentical checks that simulating a cached

@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"slms/internal/interp"
 
@@ -87,15 +85,14 @@ func (f *Figure) geoMeanApplied() (float64, int) {
 // outcome. The paper's experiments run SLMS "with and without MVE" and
 // keep the best; we do the same with MVE vs scalar expansion. Each
 // measurement is one span tree (root "measure:<kernel>") when tracing
-// is on, and its per-phase wall times feed the per-kernel breakdown of
-// RunStats regardless.
+// is on, and the best outcome's cycles feed CyclesTable.
 func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome, error) {
 	sp := obs.Root("measure:"+k.Name).
 		Attr("kernel", k.Name).Attr("machine", d.Name).Attr("compiler", cc.Name)
 	defer sp.End()
 	var prog *source.Program
 	var perr error
-	parseD := obs.Time(sp, "parse", func(*obs.Span) {
+	obs.Time(sp, "parse", func(*obs.Span) {
 		prog, perr = source.ParseCached(k.Source)
 	})
 	if perr != nil {
@@ -117,56 +114,37 @@ func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome
 	if alt := outs[1]; errs[1] == nil && alt.Applied && alt.Speedup > best.Speedup {
 		best = alt
 	}
-	recordKernelMeasurement(k.Name, parseD, outs, best)
+	recordKernelMeasurement(k.Name, best)
 	return best, nil
 }
 
 // kernelAgg is the per-kernel accumulation over every measurement the
-// process performed: per-phase wall seconds, the deterministic cycle
-// totals of the best legs (the regression gate diffs these), and — when
-// profiling is on — cause totals plus the legs' full profiles.
+// process performed: the cycle totals of the best legs and, when
+// profiling is on, the legs' full profiles.
 type kernelAgg struct {
-	phases     map[string]float64
 	baseCycles int64
 	slmsCycles int64
-	baseCauses prof.Counts
-	slmsCauses prof.Counts
-	profiled   bool
 	profiles   []*prof.Profile
 }
 
 // kernelMeasurements accumulates per-kernel data over every measurement
 // performed by the process. measure runs once per memoized (kernel,
-// machine, compiler) triple, so the aggregate is the real work done to
-// produce the figures, with cache hits near zero.
+// machine, compiler) triple, so each configuration counts once.
 var kernelMeasurements = struct {
 	sync.Mutex
 	m map[string]*kernelAgg
 }{m: map[string]*kernelAgg{}}
 
-func recordKernelMeasurement(kernel string, parseD time.Duration, outs []*pipeline.Outcome, best *pipeline.Outcome) {
+func recordKernelMeasurement(kernel string, best *pipeline.Outcome) {
+	if best == nil || best.Base == nil {
+		return
+	}
 	kernelMeasurements.Lock()
 	defer kernelMeasurements.Unlock()
 	agg := kernelMeasurements.m[kernel]
 	if agg == nil {
-		agg = &kernelAgg{phases: map[string]float64{}}
+		agg = &kernelAgg{}
 		kernelMeasurements.m[kernel] = agg
-	}
-	agg.phases["parse"] += parseD.Seconds()
-	for i, o := range outs {
-		if o == nil {
-			continue
-		}
-		for ph, s := range o.Phases {
-			// The base leg is shared across option sets; count it once.
-			if i > 0 && strings.HasSuffix(ph, ".base") {
-				continue
-			}
-			agg.phases[ph] += s
-		}
-	}
-	if best == nil || best.Base == nil {
-		return
 	}
 	agg.baseCycles += best.Base.Cycles
 	slms := best.SLMS
@@ -174,67 +152,42 @@ func recordKernelMeasurement(kernel string, parseD time.Duration, outs []*pipeli
 		slms = best.Base // transform failed: report the base leg
 	}
 	agg.slmsCycles += slms.Cycles
-	if p := best.Base.Profile; p != nil {
-		agg.profiled = true
-		if p.Label == "" {
-			p.Label = kernel
-		}
-		t := p.Totals()
-		agg.baseCauses.Add(&t)
-		agg.profiles = append(agg.profiles, p)
+	legs := []*sim.Metrics{best.Base}
+	if slms != best.Base { // avoid double-listing a shared leg
+		legs = append(legs, slms)
 	}
-	if p := slms.Profile; p != nil {
-		agg.profiled = true
-		if p.Label == "" {
-			p.Label = kernel
-		}
-		t := p.Totals()
-		agg.slmsCauses.Add(&t)
-		if p != best.Base.Profile { // avoid double-listing a shared leg
+	for _, m := range legs {
+		if p := m.Profile; p != nil {
+			if p.Label == "" {
+				p.Label = kernel
+			}
 			agg.profiles = append(agg.profiles, p)
 		}
 	}
 }
 
-// KernelStat is the per-kernel breakdown of a harness run: phase wall
-// times, deterministic base/SLMS cycle totals (summed over every
-// machine/compiler configuration measured — the regression gate's
-// input) and, when the run profiled, per-cause cycle totals.
-type KernelStat struct {
-	Kernel  string             `json:"kernel"`
-	Seconds float64            `json:"seconds"` // sum over phases
-	Phases  map[string]float64 `json:"phases"`  // phase -> wall seconds
-	// Cycle totals of the best (reported) legs, summed across
-	// configurations. Deterministic: identical on every machine.
-	BaseCycles int64 `json:"base_cycles,omitempty"`
-	SLMSCycles int64 `json:"slms_cycles,omitempty"`
-	// Cause totals across configurations, present when profiling was on
-	// (slmsbench -profile).
-	BaseCauses *prof.Counts `json:"base_causes,omitempty"`
-	SLMSCauses *prof.Counts `json:"slms_causes,omitempty"`
-}
-
-func kernelStats() []KernelStat {
+// CyclesTable lists each measured kernel's simulated cycles of the
+// reported base and SLMS legs, summed over every machine/compiler
+// configuration measured since the last ResetMeasurements. Cycles are
+// deterministic, so after a full figure run the table is identical on
+// every host and at any worker count.
+func CyclesTable() string {
 	kernelMeasurements.Lock()
 	defer kernelMeasurements.Unlock()
-	out := make([]KernelStat, 0, len(kernelMeasurements.m))
-	for k, agg := range kernelMeasurements.m {
-		ks := KernelStat{
-			Kernel: k, Phases: make(map[string]float64, len(agg.phases)),
-			BaseCycles: agg.baseCycles, SLMSCycles: agg.slmsCycles,
-		}
-		for ph, s := range agg.phases {
-			ks.Phases[ph] = s
-			ks.Seconds += s
-		}
-		if agg.profiled {
-			bc, sc := agg.baseCauses, agg.slmsCauses
-			ks.BaseCauses, ks.SLMSCauses = &bc, &sc
-		}
-		out = append(out, ks)
+	names := make([]string, 0, len(kernelMeasurements.m))
+	for k := range kernelMeasurements.m {
+		names = append(names, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kernel < out[j].Kernel })
-	return out
+	sort.Strings(names)
+	var b strings.Builder
+	header := fmt.Sprintf("%-12s %12s %12s", "kernel", "base cycles", "slms cycles")
+	fmt.Fprintln(&b, header)
+	fmt.Fprintln(&b, strings.Repeat("-", len(header)))
+	for _, k := range names {
+		agg := kernelMeasurements.m[k]
+		fmt.Fprintf(&b, "%-12s %12d %12d\n", k, agg.baseCycles, agg.slmsCycles)
+	}
+	return b.String()
 }
 
 // SuiteProfiles returns every per-leg profile collected by profiled
@@ -579,58 +532,6 @@ func hotLoopBundles(art *pipeline.Artifact, m *sim.Metrics) float64 {
 	return float64(best)
 }
 
-// FigureStat is the per-figure entry of the harness trajectory.
-type FigureStat struct {
-	ID          string  `json:"id"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Rows        int     `json:"rows"`
-}
-
-// PhaseStat aggregates one pipeline phase over a harness run: how many
-// times it ran and its total wall time (summed across workers, so the
-// total can exceed the run's wall clock).
-type PhaseStat struct {
-	Phase   string  `json:"phase"`
-	Count   int64   `json:"count"`
-	Seconds float64 `json:"seconds"`
-}
-
-// RunStats is the harness trajectory of one AllFigures run: wall time
-// per figure, simulation throughput, artifact-cache effectiveness, and
-// the phase-timing breakdown (aggregate and per kernel).
-// cmd/slmsbench serializes it as BENCH_*.json.
-type RunStats struct {
-	Figures          []FigureStat `json:"figures"`
-	TotalWallSeconds float64      `json:"total_wall_seconds"`
-	SimulatedCycles  int64        `json:"simulated_cycles"`
-	CyclesPerSecond  float64      `json:"cycles_per_second"`
-	// CacheHits/CacheMisses total every caching layer under the harness;
-	// Caches is the per-cache split (parse, transform, compile) and sums
-	// exactly to the totals.
-	CacheHits    int64       `json:"cache_hits"`
-	CacheMisses  int64       `json:"cache_misses"`
-	CacheHitRate float64     `json:"cache_hit_rate"`
-	Caches       []CacheStat `json:"caches,omitempty"`
-	Workers      int         `json:"workers"`
-	GoMaxProcs   int         `json:"gomaxprocs"`
-	// Phases aggregates each pipeline phase (parse, transform, compile,
-	// sim, verify, ...) over this run, from the phase.* histograms of
-	// the metrics registry.
-	Phases []PhaseStat `json:"phases,omitempty"`
-	// Kernels is the per-kernel phase-timing breakdown accumulated over
-	// every measurement the process performed for these figures (the
-	// measurement memo runs each (kernel, machine, compiler) once).
-	Kernels []KernelStat `json:"kernels,omitempty"`
-	// Precision is the dependence-precision census over the corpus
-	// (legacy vs exact solver); the compare gate fails when the unknown
-	// edge count grows against the committed baseline.
-	Precision *PrecisionStat `json:"precision,omitempty"`
-	// Optimality is the machine-level optimality census over the corpus
-	// (heuristic vs exact scheduler, per loop); the compare gate fails
-	// when a previously proven-optimal loop regresses.
-	Optimality *OptgapStat `json:"optimality,omitempty"`
-}
-
 var figureGens = []struct {
 	name string
 	fn   func() (*Figure, error)
@@ -648,105 +549,28 @@ var figureGens = []struct {
 // the shared worker pool); the returned slice is always in figure
 // order, and the first error in figure order wins.
 func AllFigures() ([]*Figure, error) {
-	figs, _, err := AllFiguresTimed()
-	return figs, err
-}
-
-// AllFiguresTimed is AllFigures plus the harness trajectory: wall time
-// per figure, cycles simulated, simulation throughput and artifact
-// cache hit rate over the run.
-func AllFiguresTimed() ([]*Figure, *RunStats, error) {
-	startCaches := snapshotCaches()
-	startSnap := obs.Default.Snapshot()
 	obs.GaugeName("bench.workers").Set(int64(Workers()))
-	start := time.Now()
-
 	// Figures run on plain goroutines: a generator is orchestration (it
 	// waits on its rows' pool work), so it must not hold a pool token
 	// itself or nested waits could exhaust the pool and deadlock. Only
 	// leaf measurements draw tokens, keeping concurrency bounded.
-	type res struct {
-		fig  *Figure
-		err  error
-		wall time.Duration
-	}
-	results := make([]res, len(figureGens))
+	figs := make([]*Figure, len(figureGens))
+	errs := make([]error, len(figureGens))
 	var wg sync.WaitGroup
 	for i, g := range figureGens {
 		wg.Add(1)
 		go func(i int, fn func() (*Figure, error)) {
 			defer wg.Done()
-			t0 := time.Now()
-			f, err := fn()
-			results[i] = res{fig: f, err: err, wall: time.Since(t0)}
+			figs[i], errs[i] = fn()
 		}(i, g.fn)
 	}
 	wg.Wait()
-
-	stats := &RunStats{Workers: Workers(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	var out []*Figure
-	for i, r := range results {
-		if r.err != nil {
-			return nil, nil, fmt.Errorf("figure %s: %w", figureGens[i].name, r.err)
-		}
-		out = append(out, r.fig)
-		stats.Figures = append(stats.Figures, FigureStat{
-			ID: r.fig.ID, WallSeconds: r.wall.Seconds(), Rows: len(r.fig.Rows),
-		})
-	}
-	stats.TotalWallSeconds = time.Since(start).Seconds()
-	endSnap := obs.Default.Snapshot()
-	// Per-run cycle count: the sim.cycles registry counter's growth over
-	// this run, not a never-resetting package global (which conflated
-	// concurrent harness runs).
-	stats.SimulatedCycles = endSnap.Counters["sim.cycles"] - startSnap.Counters["sim.cycles"]
-	if stats.TotalWallSeconds > 0 {
-		stats.CyclesPerSecond = float64(stats.SimulatedCycles) / stats.TotalWallSeconds
-	}
-	stats.Caches = startCaches.delta(snapshotCaches())
-	for _, cs := range stats.Caches {
-		stats.CacheHits += cs.Hits
-		stats.CacheMisses += cs.Misses
-	}
-	if total := stats.CacheHits + stats.CacheMisses; total > 0 {
-		stats.CacheHitRate = float64(stats.CacheHits) / float64(total)
-	}
-	stats.Phases = phaseDelta(startSnap, endSnap)
-	stats.Kernels = kernelStats()
-	// The precision census is transform-only (no simulation), cheap
-	// enough to stamp on every trajectory so the compare gate can hold
-	// the unknown-edge count at the baseline.
-	if _, psum, perr := PrecisionCensus(PrecisionCorpus()); perr == nil {
-		stats.Precision = &psum
-	}
-	// So is the optimality census (static scheduling only): stamping it
-	// on every trajectory lets the compare gate hold each loop's
-	// proven-optimal verdict at its baseline.
-	if _, osum, oerr := OptgapCensus(OptgapCorpus(), "standard"); oerr == nil {
-		stats.Optimality = &osum
-	}
-	return out, stats, nil
-}
-
-// phaseDelta extracts the phase.* histogram growth between two registry
-// snapshots as sorted PhaseStats (phases that did not run are omitted).
-func phaseDelta(before, after obs.Snapshot) []PhaseStat {
-	var out []PhaseStat
-	for name, h := range after.Histograms {
-		if !strings.HasPrefix(name, "phase.") {
-			continue
-		}
-		prev := before.Histograms[name]
-		if d := h.Count - prev.Count; d > 0 {
-			out = append(out, PhaseStat{
-				Phase:   strings.TrimPrefix(name, "phase."),
-				Count:   d,
-				Seconds: h.Seconds - prev.Seconds,
-			})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("figure %s: %w", figureGens[i].name, err)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Phase < out[j].Phase })
-	return out
+	return figs, nil
 }
 
 // FigureIDs lists the available figure identifiers.

@@ -120,9 +120,8 @@ type OptgapRow struct {
 	Cert string `json:"cert,omitempty"`
 }
 
-// OptgapStat summarizes the optimality census; cmd/slmsbench serializes
-// it into the BENCH_*.json trajectory (RunStats.Optimality), and the CI
-// compare gate fails when a previously proven-optimal loop regresses.
+// OptgapStat summarizes the optimality census. The optgap figure and
+// slmsbench -optgap print it, and TestOptgapCensus pins its verdicts.
 type OptgapStat struct {
 	Loops         int `json:"loops"`
 	ProvenOptimal int `json:"proven_optimal"`
@@ -131,8 +130,7 @@ type OptgapStat struct {
 	Budget        int `json:"budget_exhausted"`
 	Infeasible    int `json:"infeasible"`
 	MaxGap        int `json:"max_gap"`
-	// Rows carries the per-loop verdicts so the gate can hold each loop
-	// (not just the totals) at its baseline.
+	// Rows carries the per-loop verdicts behind the totals.
 	Rows []OptgapRow `json:"rows,omitempty"`
 }
 

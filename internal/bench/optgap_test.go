@@ -12,10 +12,10 @@ import (
 	"slms/internal/source"
 )
 
-// TestOptgapCensus pins the census contract the BENCH trajectory and the
-// compare gate rely on: every counted loop in the corpus gets a verdict,
-// the verdict families add up, and the search-found gap kernels really
-// do expose a heuristic miss that the exact scheduler closes.
+// TestOptgapCensus pins the census contract: every counted loop in the
+// corpus gets a verdict, the verdict families add up, and the
+// search-found gap kernels really do expose a heuristic miss that the
+// exact scheduler closes.
 func TestOptgapCensus(t *testing.T) {
 	rows, sum, err := OptgapCensus(OptgapCorpus(), "standard")
 	if err != nil {
@@ -120,7 +120,7 @@ func TestOptgapCountsSuccessfulProbe(t *testing.T) {
 }
 
 // The census is pure static scheduling — identical inputs must yield
-// byte-identical rows, or the compare gate would flap. Quick effort
+// byte-identical rows, or the golden's optgap table would flap. Quick effort
 // keeps the double run cheap; determinism is effort-independent.
 func TestOptgapCensusDeterministic(t *testing.T) {
 	rows1, sum1, err := OptgapCensus(OptgapCorpus(), "quick")

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"slms/internal/machine"
+	"slms/internal/obs"
 	"slms/internal/pipeline"
 )
 
@@ -117,8 +118,8 @@ type measureEntry struct {
 var measureMemo sync.Map // measureKey -> *measureEntry
 
 // ResetMeasurements drops every memoized measurement and the per-kernel
-// aggregates built from them (used by benchmarks and the legs harness so
-// each run measures real work and reports only its own trajectory).
+// aggregates built from them, so the next run measures real work and
+// CyclesTable reports only that run.
 func ResetMeasurements() {
 	measureMemo.Range(func(k, _ any) bool {
 		measureMemo.Delete(k)
@@ -127,6 +128,17 @@ func ResetMeasurements() {
 	kernelMeasurements.Lock()
 	kernelMeasurements.m = map[string]*kernelAgg{}
 	kernelMeasurements.Unlock()
+}
+
+// ResetHarnessState drops every cross-run memo and cache (measurement
+// memo, kernel aggregates, artifact/transform/parse caches) so the next
+// run measures real work from cold. The three pipeline caches clear
+// through the obs cache-reset registry — one atomic operation over all
+// stat groups, so a snapshot taken after the reset sees every layer at
+// zero, never a half-cleared mix.
+func ResetHarnessState() {
+	ResetMeasurements()
+	obs.ResetCaches()
 }
 
 // measureCached memoizes measure: the same (kernel, machine, compiler)

@@ -132,9 +132,9 @@ type PrecisionRow struct {
 	LowerII        bool `json:"lower_ii"`
 }
 
-// PrecisionStat summarizes the census; cmd/slmsbench serializes it into
-// the BENCH_*.json trajectory, and the CI compare gate fails when
-// UnknownExact grows against the committed baseline.
+// PrecisionStat summarizes the census. The precision figure and
+// slmsbench -census print it, and TestPrecisionGate holds the exact
+// solver's unknown edges below the legacy test's.
 type PrecisionStat struct {
 	Kernels        int `json:"kernels"`
 	Pairs          int `json:"pairs"`
