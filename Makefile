@@ -23,6 +23,8 @@ vet:
 	$(GO) vet ./...
 
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	elif $(GO) run $(STATICCHECK_PKG) -version >/dev/null 2>&1; then \

@@ -662,11 +662,17 @@ func TestCLIContract(t *testing.T) {
 			if tc.usageArgs != nil {
 				usages = append(usages, tc.usageArgs)
 			}
-			if tc.name == "slmsbench" { // no mode takes an argument
+			switch tc.name {
+			case "slmsbench": // no mode takes an argument
 				usages = append(usages,
 					[]string{"-optgap", "-effort", "bogus"},
 					[]string{"extra.json"}) // stray argument
-			} else {
+			case "slmslint": // -machine and -effort are checked without -optgap too
+				usages = append(usages,
+					[]string{"-effort", "bogus", "-"},
+					[]string{"-machine", "nosuch", "-"},
+					nil) // missing argument
+			default:
 				usages = append(usages, nil) // missing argument
 			}
 			for _, args := range usages {

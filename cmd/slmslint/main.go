@@ -37,6 +37,7 @@ import (
 
 	"slms/internal/analysis"
 	"slms/internal/core"
+	"slms/internal/ims"
 	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/source"
@@ -82,17 +83,12 @@ func main() {
 	if *threshold < 0 || *threshold > 1 {
 		obs.Usagef("-threshold must be in [0,1], got %v", *threshold)
 	}
-	var optMachine *machine.Desc
-	if *optgap {
-		var err error
-		if optMachine, err = machine.ByName(*machineName); err != nil {
-			obs.Usagef("%v", err)
-		}
-		switch *effort {
-		case "quick", "standard", "max":
-		default:
-			obs.Usagef("unknown -effort %q (want quick, standard or max)", *effort)
-		}
+	optMachine, err := machine.ByName(*machineName)
+	if err != nil {
+		obs.Usagef("%v", err)
+	}
+	if _, err := ims.EffortConfig("", *effort); err != nil {
+		obs.Usagef("%v", err)
 	}
 
 	failed := false

@@ -2,45 +2,11 @@ package analysis
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"slms/internal/core"
 	"slms/internal/dep"
 	"slms/internal/source"
 )
-
-// verifyEach runs fn(i) for i in [0, n) on at most
-// core.TransformParallelism() goroutines (inline when 1). fn must only
-// touch index-i state; the call is a barrier.
-func verifyEach(n int, fn func(int)) {
-	workers := core.TransformParallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // VerifyResult statically verifies one applied SLMS result: it re-runs
 // dependence analysis on the recorded MIs, re-recognizes the emitted
@@ -198,24 +164,17 @@ func LintProgram(file string, prog *source.Program, opts LintOptions) (*Report, 
 // VerifyTransformed gates an already-performed transformation: every
 // applied result must be statically proved; a refutation is an error
 // carrying the witness and diagnostic code, and inconclusive verdicts
-// are arbitrated by the differential harness. It only reads the results
-// and is safe on shared (cached) transformations.
+// are arbitrated by the differential harness. The loops are verified in
+// source order, and the first refutation is returned without verifying
+// the rest. It only reads the results and is safe on shared (cached)
+// transformations.
 func VerifyTransformed(orig, transformed *source.Program, results []*core.Result) error {
-	// Verify the applied loops concurrently (VerifyResult is documented
-	// concurrency-safe on shared results), then scan serially so the
-	// reported refutation is always the first in source order.
-	verdicts := make([]*Verdict, len(results))
-	verifyEach(len(results), func(i int) {
-		if res := results[i]; res != nil && res.Applied {
-			verdicts[i] = VerifyResult(res)
-		}
-	})
 	needDiff := false
-	for i, res := range results {
+	for _, res := range results {
 		if res == nil || !res.Applied {
 			continue
 		}
-		v := verdicts[i]
+		v := VerifyResult(res)
 		switch v.Status {
 		case StatusProved:
 		case StatusRefuted:

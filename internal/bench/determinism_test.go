@@ -24,10 +24,10 @@ const goldenPath = "testdata/figures.golden"
 
 // TestHarnessDeterminism pins the harness output to the golden file,
 // byte for byte, from two renders that share no state: the fast path
-// (figures and their rows fanned out over the shared pool, pipeline
-// parallelism on, every cache and the measurement memo in use) and a
-// fully serial one (one pool worker, one pipeline worker, the artifact
-// and transform caches disabled). Each render starts from cold.
+// (figures and their rows fanned out over the shared pool, every cache
+// and the measurement memo in use) and a fully serial one (one pool
+// worker, the artifact and transform caches disabled). Each render
+// starts from cold.
 func TestHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full figure suite twice")
@@ -65,14 +65,12 @@ func TestHarnessDeterminism(t *testing.T) {
 		}
 	}
 
-	oldWorkers, oldPar := Workers(), pipeline.Parallelism()
+	oldWorkers := Workers()
 	SetWorkers(1)
-	pipeline.SetParallelism(1)
 	pipeline.SetCacheEnabled(false)
 	core.SetTransformCacheEnabled(false)
 	defer func() {
 		SetWorkers(oldWorkers)
-		pipeline.SetParallelism(oldPar)
 		pipeline.SetCacheEnabled(true)
 		core.SetTransformCacheEnabled(true)
 		ResetHarnessState()

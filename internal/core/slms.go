@@ -445,7 +445,7 @@ func TransformProgramSpan(sp *obs.Span, p *source.Program, opts Options) (*sourc
 		return nil, nil, err
 	}
 	var sites []loopSite
-	collectLoopSites(out.Stmts, &sites)
+	collectLoopSites(out.Stmts, nil, &sites)
 	results, err := transformSites(sp, sites, info.Table, opts)
 	if err != nil {
 		return nil, nil, err
@@ -455,6 +455,86 @@ func TransformProgramSpan(sp *obs.Span, p *source.Program, opts Options) (*sourc
 		return nil, nil, fmt.Errorf("slms: transformed program fails type check: %w", err)
 	}
 	return out, results, nil
+}
+
+// transformSiteHook, when non-nil, runs before each site's transform.
+// A non-nil return aborts the program's transform with the error.
+// Test-only: the tests inject per-loop failures and panics through it.
+var transformSiteHook func(site int) error
+
+// loopSite is one innermost-loop rewrite point: stmts[idx] is the
+// *source.For to transform in place. guards are the if-conditions
+// enclosing the site (then-branches only) — known true at loop entry,
+// they refine the dependence solver's symbolic ranges.
+type loopSite struct {
+	stmts  []source.Stmt
+	idx    int
+	loop   *source.For
+	guards []source.Expr
+}
+
+// collectLoopSites gathers every innermost for-loop rewrite point in
+// source order, each with the guards enclosing it: non-innermost For
+// bodies, While bodies, Blocks and both If arms recurse; innermost For
+// statements become sites.
+func collectLoopSites(stmts []source.Stmt, guards []source.Expr, sites *[]loopSite) {
+	for i, s := range stmts {
+		switch s := s.(type) {
+		case *source.For:
+			if containsLoop(s.Body) {
+				collectLoopSites(s.Body.Stmts, nil, sites)
+				continue
+			}
+			*sites = append(*sites, loopSite{stmts: stmts, idx: i, loop: s, guards: guards})
+		case *source.While:
+			collectLoopSites(s.Body.Stmts, nil, sites)
+		case *source.Block:
+			collectLoopSites(s.Stmts, guards, sites)
+		case *source.If:
+			collectLoopSites(s.Then.Stmts, append(guards[:len(guards):len(guards)], s.Cond), sites)
+			if s.Else != nil {
+				// The else-branch condition holds negated; the range layer
+				// only consumes positive comparisons, so pass nothing.
+				collectLoopSites(s.Else.Stmts, nil, sites)
+			}
+		}
+	}
+}
+
+// transformSites transforms the sites in source order against the
+// program's one symbol table, so each loop's temporaries take the
+// table's next free names, and splices every applied replacement into
+// place. The first failing loop's error is returned and the loops after
+// it are not transformed.
+func transformSites(sp *obs.Span, sites []loopSite, tab *sem.Table, opts Options) ([]*Result, error) {
+	var results []*Result
+	for k, site := range sites {
+		r, err := transformSite(sp, k, site, tab, opts)
+		if err != nil {
+			return nil, err
+		}
+		if r.Applied {
+			site.stmts[site.idx] = r.Replacement
+		}
+		results = append(results, r)
+	}
+	return results, nil
+}
+
+// transformSite transforms site k, turning a panic in the loop's
+// transform into an error that names the loop.
+func transformSite(sp *obs.Span, k int, site loopSite, tab *sem.Table, opts Options) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("slms: transform panic on loop %d (%s): %v", k, site.loop.Pos(), r)
+		}
+	}()
+	if h := transformSiteHook; h != nil {
+		if err := h(k); err != nil {
+			return nil, err
+		}
+	}
+	return transformSpanGuards(sp, site.loop, tab, opts, site.guards)
 }
 
 func containsLoop(b *source.Block) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -654,4 +655,70 @@ func TestInvariantSubscriptArray(t *testing.T) {
 		}
 	`
 	checkEquiv(t, src, DefaultOptions())
+}
+
+// multiLoopSrc holds three pipelinable loops, the last nested in an
+// outer loop, exercising the traversal arms of collectLoopSites.
+const multiLoopSrc = `
+	float A[64]; float B[64]; float C[64];
+	float D[64]; float E[64];
+	for (i = 0; i < 64; i++) {
+		A[i] = B[i] * C[i] + B[i];
+		C[i] = A[i] * 0.5;
+	}
+	for (j = 0; j < 64; j++) {
+		D[j] = A[j] * B[j] + C[j];
+		E[j] = D[j] + A[j] * 0.25;
+	}
+	for (k = 0; k < 4; k++) {
+		for (i = 0; i < 64; i++) {
+			B[i] = B[i] * 0.5 + A[i];
+			A[i] = B[i] + C[i] * 2.0;
+		}
+	}
+`
+
+// TestTransformFirstErrorWins injects failures into loops 1 and 2 and
+// demands the first failing loop's error back, with the loops after it
+// never transformed.
+func TestTransformFirstErrorWins(t *testing.T) {
+	t.Cleanup(func() { transformSiteHook = nil })
+	errSite1 := errors.New("injected failure on loop 1")
+	var visited []int
+	transformSiteHook = func(site int) error {
+		visited = append(visited, site)
+		switch site {
+		case 1:
+			return errSite1
+		case 2:
+			return errors.New("injected failure on loop 2")
+		}
+		return nil
+	}
+	_, _, err := TransformProgram(source.MustParse(multiLoopSrc), DefaultOptions())
+	if !errors.Is(err, errSite1) {
+		t.Errorf("err = %v, want the first failing loop's error %v", err, errSite1)
+	}
+	if fmt.Sprint(visited) != "[0 1]" {
+		t.Errorf("transformed loops %v, want [0 1]: nothing after the first failure", visited)
+	}
+}
+
+// TestTransformPanicIsolation: a panicking loop transform must come back
+// as an error naming the loop and the cause, not crash the process.
+func TestTransformPanicIsolation(t *testing.T) {
+	t.Cleanup(func() { transformSiteHook = nil })
+	transformSiteHook = func(site int) error {
+		if site == 1 {
+			panic("boom")
+		}
+		return nil
+	}
+	_, _, err := TransformProgram(source.MustParse(multiLoopSrc), DefaultOptions())
+	if err == nil {
+		t.Fatal("panicking loop transform produced no error")
+	}
+	if got := err.Error(); !strings.Contains(got, "transform panic on loop 1") || !strings.Contains(got, "boom") {
+		t.Errorf("panic error %q does not name the loop and cause", got)
+	}
 }

@@ -2,12 +2,12 @@ package obs
 
 // Request correlation: W3C trace-context parsing plus the context
 // plumbing that threads one request ID from the HTTP edge through
-// admission, caches, the parallel per-loop transform workers and the
-// simulator. The rule mirrors the rest of this package: everything here
-// must be allocation-free on the paths servers keep hot (parsing a
-// traceparent returns a substring of the input; context reads are plain
-// Value lookups), and every helper tolerates zeros — an empty request
-// ID, a nil span, a background context.
+// admission, caches, the per-loop transform and the simulator. The
+// rule mirrors the rest of this package: everything here must be
+// allocation-free on the paths servers keep hot (parsing a traceparent
+// returns a substring of the input; context reads are plain Value
+// lookups), and every helper tolerates zeros — an empty request ID, a
+// nil span, a background context.
 
 import (
 	"context"

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"slms/internal/backend"
 	"slms/internal/core"
@@ -172,17 +171,10 @@ func scheduleFor(f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
 }
 
 // scheduleForCtx is scheduleFor with a cancellation checkpoint before
-// each block's (potentially IMS-bearing) scheduling round.
-//
-// Blocks are scheduled concurrently on the SetParallelism worker pool:
-// each worker only mutates its own block and writes its outcome into an
-// index-parallel slot, and a serial merge pass then fills the plan,
-// the loop maps and the loop-head marks in block order. The merge keeps
-// the artifact byte-identical to a serial compile at every worker
-// count (and keeps cross-block writes — a body marking its head block —
-// out of the concurrent phase).
+// each block's (potentially IMS-bearing) scheduling round. Blocks are
+// scheduled in order, and each fills its plan slot, its loop-map
+// entries and its loop head's mark as it goes.
 func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
-	done := ctx.Done()
 	imsCfg, err := ims.EffortConfig(cc.Scheduler, cc.Effort)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
@@ -196,18 +188,10 @@ func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compile
 	plan := &sim.Plan{Blocks: make([]sim.BlockTiming, len(f.Blocks))}
 	art.Plan = plan
 
-	type blockOut struct {
-		sched *backend.BlockSched
-		ims   *ims.Result
-	}
-	outs := make([]blockOut, len(f.Blocks))
-	var canceled atomic.Bool
-	forEachIndex(len(f.Blocks), func(i int) {
-		if done != nil && ctx.Err() != nil {
-			canceled.Store(true)
-			return
+	for _, b := range f.Blocks {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("pipeline: compile aborted: %w", err)
 		}
-		b := f.Blocks[i]
 		// Reordering compilers physically reorder the instructions so the
 		// in-order hardware of superscalar machines benefits too.
 		var sched *backend.BlockSched
@@ -219,37 +203,28 @@ func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compile
 		} else {
 			sched = backend.SequentialSchedule(b, d)
 		}
-		outs[i].sched = sched
-		if b.IsLoopBody && cc.IMS && d.Policy == machine.Static && b.Counted {
-			outs[i].ims = ims.ScheduleWith(b, d, cc.Tags, imsCfg)
-		}
-	})
-	if canceled.Load() {
-		return nil, fmt.Errorf("pipeline: compile aborted: %w", ctx.Err())
-	}
-
-	for i, b := range f.Blocks {
-		sched := outs[i].sched
 		if d.Policy == machine.Static {
 			plan.Blocks[b.ID].Sched = sched
 		}
-		if b.IsLoopBody {
-			art.LoopSched[b.ID] = sched
-			// The final compiler rotates counted loops: mark the head
-			// (the target of the body's back edge) so repeat tests are
-			// folded into the body's per-iteration cost.
-			if n := len(b.Instrs); n > 0 && b.Instrs[n-1].Op == ir.Br {
-				head := b.Instrs[n-1].Target
-				if head >= 0 && head < len(plan.Blocks) {
-					plan.Blocks[head].LoopHead = true
-					plan.Blocks[head].BodyID = b.ID
-				}
+		if !b.IsLoopBody {
+			continue
+		}
+		art.LoopSched[b.ID] = sched
+		// The final compiler rotates counted loops: mark the head
+		// (the target of the body's back edge) so repeat tests are
+		// folded into the body's per-iteration cost.
+		if n := len(b.Instrs); n > 0 && b.Instrs[n-1].Op == ir.Br {
+			head := b.Instrs[n-1].Target
+			if head >= 0 && head < len(plan.Blocks) {
+				plan.Blocks[head].LoopHead = true
+				plan.Blocks[head].BodyID = b.ID
 			}
-			if r := outs[i].ims; r != nil {
-				art.IMSResults[b.ID] = r
-				if r.OK {
-					plan.Blocks[b.ID].IMS = r
-				}
+		}
+		if cc.IMS && d.Policy == machine.Static && b.Counted {
+			r := ims.ScheduleWith(b, d, cc.Tags, imsCfg)
+			art.IMSResults[b.ID] = r
+			if r.OK {
+				plan.Blocks[b.ID].IMS = r
 			}
 		}
 	}
@@ -286,7 +261,7 @@ func applyOrder(b *ir.Block, s *backend.BlockSched) {
 // so repeated runs of the same (program, machine, compiler) triple
 // share one immutable artifact.
 func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	m, art, _, _, err := runTimed(context.Background(), nil, p, d, cc, env)
+	m, art, err := runTimed(context.Background(), nil, p, d, cc, env)
 	return m, art, err
 }
 
@@ -295,7 +270,7 @@ func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim
 // every few thousand instructions, so a request deadline stops the
 // pipeline mid-simulation instead of after it.
 func RunCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	m, art, _, _, err := runTimed(ctx, nil, p, d, cc, env)
+	m, art, err := runTimed(ctx, nil, p, d, cc, env)
 	return m, art, err
 }
 
@@ -303,33 +278,33 @@ func RunCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler
 // outcome) and "sim" (with the simulated cycle count) child spans, each
 // also feeding the phase.compile / phase.sim duration histograms.
 func RunSpan(sp *obs.Span, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	m, art, _, _, err := runTimed(context.Background(), sp, p, d, cc, env)
+	m, art, err := runTimed(context.Background(), sp, p, d, cc, env)
 	return m, art, err
 }
 
-// runTimed is the span-threaded compile+simulate core, returning the
-// wall time of each phase for the harness's per-kernel breakdown.
+// runTimed is the span-threaded compile+simulate core: "compile" and
+// "sim" child spans under sp, each feeding its phase histogram.
 func runTimed(ctx context.Context, sp *obs.Span, p *source.Program, d *machine.Desc, cc Compiler,
-	env *interp.Env) (m *sim.Metrics, art *Artifact, compileD, simD time.Duration, err error) {
-	compileD = obs.Time(sp, "compile", func(csp *obs.Span) {
+	env *interp.Env) (m *sim.Metrics, art *Artifact, err error) {
+	obs.Time(sp, "compile", func(csp *obs.Span) {
 		art, err = compileForCachedCtxSpan(ctx, csp, p, d, cc)
 	})
 	if err != nil {
-		return nil, nil, compileD, 0, err
+		return nil, nil, err
 	}
-	simD = obs.Time(sp, "sim", func(ssp *obs.Span) {
+	obs.Time(sp, "sim", func(ssp *obs.Span) {
 		m, err = art.Predecoded(d).RunCtx(ctx, env, 0)
 		if m != nil {
 			ssp.Attr("cycles", m.Cycles)
 		}
 	})
 	if err != nil {
-		return nil, nil, compileD, simD, fmt.Errorf("pipeline: %w\n%s", err, art.Func.Dump())
+		return nil, nil, fmt.Errorf("pipeline: %w\n%s", err, art.Func.Dump())
 	}
 	// Standalone runs (slmssim, slmsc -profile) get loop stats without
 	// decision records; RunExperimentsSpan re-annotates with them.
 	annotateProfile(m, art, d, cc, "", nil)
-	return m, art, compileD, simD, nil
+	return m, art, nil
 }
 
 // Experiment compares a program with and without SLMS under one
@@ -351,11 +326,6 @@ type Outcome struct {
 	BaseArt    *Artifact
 	SLMSArt    *Artifact
 	Results    []*core.Result
-	// Phases is the wall time (seconds) each pipeline phase spent
-	// producing this outcome: compile.base, sim.base, transform, verify
-	// (only under the -verify gate), compile.slms, sim.slms, compare.
-	// The bench harness aggregates these into per-kernel breakdowns.
-	Phases map[string]float64
 }
 
 // RunExperiment measures the SLMS speedup of prog under the experiment
@@ -386,8 +356,7 @@ func RunExperiments(prog *source.Program, d *machine.Desc, cc Compiler,
 
 // RunExperimentsSpan is RunExperiments under a parent trace span: the
 // base leg and each option set's transform/verify/compile/sim/compare
-// phases become child spans, and every Outcome carries its per-phase
-// wall-time breakdown (Outcome.Phases).
+// phases become child spans, each feeding its phase histogram.
 func RunExperimentsSpan(sp *obs.Span, prog *source.Program, d *machine.Desc, cc Compiler,
 	optsList []core.Options, seed func(*interp.Env)) ([]*Outcome, []error, error) {
 	return RunExperimentsCtx(context.Background(), sp, prog, d, cc, optsList, seed)
@@ -406,7 +375,7 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 		seed(envBase)
 	}
 	baseSp := sp.Child("base")
-	mBase, artBase, baseCompile, baseSim, err := runTimed(ctx, baseSp, prog, d, cc, envBase)
+	mBase, artBase, err := runTimed(ctx, baseSp, prog, d, cc, envBase)
 	baseSp.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("base run: %w", err)
@@ -423,15 +392,12 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 			continue
 		}
 		legSp := sp.Child(fmt.Sprintf("slms[%d]", i))
-		out := &Outcome{Base: mBase, BaseArt: artBase, Phases: map[string]float64{
-			"compile.base": baseCompile.Seconds(),
-			"sim.base":     baseSim.Seconds(),
-		}}
+		out := &Outcome{Base: mBase, BaseArt: artBase}
 		var transformed *source.Program
 		var results []*core.Result
-		out.Phases["transform"] = obs.Time(legSp, "transform", func(tsp *obs.Span) {
+		obs.Time(legSp, "transform", func(tsp *obs.Span) {
 			transformed, results, err = core.TransformProgramCachedSpan(tsp, prog, opts)
-		}).Seconds()
+		})
 		if err != nil {
 			errs[i] = fmt.Errorf("slms: %w", err)
 			legSp.End()
@@ -445,7 +411,7 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 		}
 		if Verifying() {
 			var verr error
-			out.Phases["verify"] = obs.Time(legSp, "verify", func(vsp *obs.Span) {
+			obs.Time(legSp, "verify", func(vsp *obs.Span) {
 				verr = verifyResults(prog, transformed, results)
 				if verr != nil {
 					vsp.Attr("verdict", "refuted")
@@ -456,7 +422,7 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 				} else {
 					vsp.Attr("verdict", "ok")
 				}
-			}).Seconds()
+			})
 			if verr != nil {
 				errs[i] = verr
 				legSp.End()
@@ -467,9 +433,7 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 		if seed != nil {
 			seed(envSLMS)
 		}
-		mSLMS, artSLMS, slmsCompile, slmsSim, err := runTimed(ctx, legSp, transformed, d, cc, envSLMS)
-		out.Phases["compile.slms"] = slmsCompile.Seconds()
-		out.Phases["sim.slms"] = slmsSim.Seconds()
+		mSLMS, artSLMS, err := runTimed(ctx, legSp, transformed, d, cc, envSLMS)
 		if err != nil {
 			errs[i] = fmt.Errorf("slms run: %w", err)
 			legSp.End()
@@ -482,9 +446,9 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 		// reduction reassociation tolerance).
 		delete(envSLMS.Arrays, backend.SpillArray)
 		var diffs []interp.Diff
-		out.Phases["compare"] = obs.Time(legSp, "compare", func(*obs.Span) {
+		obs.Time(legSp, "compare", func(*obs.Span) {
 			diffs = interp.Compare(envBase, envSLMS, interp.CompareOpts{FloatTol: 1e-6})
-		}).Seconds()
+		})
 		legSp.End()
 		if len(diffs) > 0 {
 			errs[i] = fmt.Errorf("SLMS changed program results: %v", diffs)

@@ -43,16 +43,13 @@ func (s *Symbol) IsArray() bool { return len(s.Dims) > 0 }
 
 // Table is a flat symbol table for one program. Mini-C has a single
 // scope (kernels), which matches both the Tiny tool and the loop bodies
-// the transformations operate on.
+// the transformations operate on. The SLMS transform mints every loop's
+// temporaries into the program's one table, loop by loop in source
+// order, so a name minted for one loop is never minted again for
+// another.
 type Table struct {
 	syms  map[string]*Symbol
 	order []string
-	// freshSuffix is appended to every Fresh-minted name. Per-loop
-	// transform workers clone the table with a distinct per-site suffix
-	// so temporaries minted for different loops can never collide, no
-	// matter how the sites are ordered or interleaved (see
-	// internal/core's parallel transform).
-	freshSuffix string
 }
 
 // NewTable returns an empty symbol table.
@@ -102,33 +99,11 @@ func (t *Table) Names() []string {
 	return ns
 }
 
-// Clone returns a deep copy of the table: the symbol map, declaration
-// order, and the Symbol structs themselves are copied, so Declare and
-// Fresh on the clone never touch the original. Dimension expressions
-// are shared — they are read-only once checked.
-func (t *Table) Clone() *Table {
-	c := &Table{
-		syms:        make(map[string]*Symbol, len(t.syms)),
-		order:       append([]string(nil), t.order...),
-		freshSuffix: t.freshSuffix,
-	}
-	for n, s := range t.syms {
-		cp := *s
-		c.syms[n] = &cp
-	}
-	return c
-}
-
-// SetFreshSuffix makes every subsequent Fresh reservation mint names
-// ending in suffix (e.g. "pred1_l2" instead of "pred1"). An empty
-// suffix restores the legacy names.
-func (t *Table) SetFreshSuffix(suffix string) { t.freshSuffix = suffix }
-
 // Fresh returns a name with the given prefix that does not collide with
 // any existing symbol, and reserves it.
 func (t *Table) Fresh(prefix string, typ source.Type) string {
 	for i := 1; ; i++ {
-		name := fmt.Sprintf("%s%d%s", prefix, i, t.freshSuffix)
+		name := fmt.Sprintf("%s%d", prefix, i)
 		if t.syms[name] == nil {
 			t.syms[name] = &Symbol{Name: name, Type: typ, Implicit: true}
 			t.order = append(t.order, name)

@@ -19,10 +19,10 @@
 // Every request is correlated under one ID: a valid incoming W3C
 // traceparent contributes its trace-id, anything else gets a minted
 // "r%08d". The ID rides the request context through admission, the
-// singleflight cache, the parallel per-loop transform workers and the
-// simulator, so one request yields one span tree, one access-log line
-// and SLMS2xx/3xx decision records all stamped with the same ID, and
-// comes back to the client as X-Request-ID.
+// singleflight cache, the per-loop transform and the simulator, so one
+// request yields one span tree, one access-log line and SLMS2xx/3xx
+// decision records all stamped with the same ID, and comes back to the
+// client as X-Request-ID.
 package server
 
 import (
@@ -335,7 +335,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		deadline, _ = ctx.Deadline()
 
 		// Thread the ID down: the root span stamps it on every child
-		// (parallel transform workers, simulator legs) and on the
+		// (per-loop transform spans, simulator legs) and on the
 		// decision records they emit; the context carries it to code
 		// that only sees ctx.
 		ctx = obs.ContextWithRequestID(ctx, reqID)

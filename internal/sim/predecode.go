@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"slms/internal/backend"
@@ -18,11 +17,10 @@ import (
 // and — when built for profiling — the profiler's slot interning. One
 // Predecoded serves any number of runs, concurrently; per-run mutable
 // state (register file, array bindings, L1 tags) comes from an internal
-// pool, so batched simulation of the same artifact allocates almost
+// pool, so repeated simulation of the same artifact allocates almost
 // nothing beyond its Metrics.
 //
-// Build one with Predecode; run it with Run/RunCtx; batch many with
-// RunBatch.
+// Build one with Predecode; run it with Run/RunCtx.
 type Predecoded struct {
 	f    *ir.Func
 	d    *machine.Desc
@@ -176,29 +174,4 @@ func (pd *Predecoded) RunCtx(ctx context.Context, env *interp.Env, maxInstrs int
 	simInstrs.Add(s.m.Instrs)
 	pd.pool.Put(st)
 	return s.m, nil
-}
-
-// BatchRun is one job in a RunBatch call: a predecoded artifact plus
-// the environment to run it against.
-type BatchRun struct {
-	Pre       *Predecoded
-	Env       *interp.Env
-	MaxInstrs int64 // 0 = the package default limit
-}
-
-// RunBatch executes the jobs in order against their shared predecodes:
-// jobs naming the same Predecoded reuse its decode tables and pooled
-// run buffers instead of re-deriving per-kernel setup. The returned
-// slice parallels jobs; the first failing job aborts the batch with its
-// partial results.
-func RunBatch(ctx context.Context, jobs []BatchRun) ([]*Metrics, error) {
-	out := make([]*Metrics, len(jobs))
-	for i, j := range jobs {
-		m, err := j.Pre.RunCtx(ctx, j.Env, j.MaxInstrs)
-		if err != nil {
-			return out, fmt.Errorf("sim: batch job %d: %w", i, err)
-		}
-		out[i] = m
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,7 +18,7 @@ const scanSrc = `
 	for (i = 0; i < 256; i++) { s += A[i]; }
 `
 
-// TestPredecodedReuse pins the batched-simulation contract: one
+// TestPredecodedReuse pins the repeated-simulation contract: one
 // Predecode serves many runs, each from a cold pooled state, and every
 // run's metrics are identical to a fresh one-shot simulation —
 // including the data-cache counters, which a dirty pooled cache would
@@ -50,9 +49,10 @@ func TestPredecodedReuse(t *testing.T) {
 }
 
 // TestPredecodedConcurrentRuns runs one Predecoded from many goroutines
-// (the parallel pipeline does exactly this through the artifact's
-// predecode slots); under -race this verifies the immutable decode
-// tables really are immutable and the pooled state really is per-run.
+// (the bench pool and slmsd's request handlers do exactly this through
+// a cached artifact's predecode slots); under -race this verifies the
+// immutable decode tables really are immutable and the pooled state
+// really is per-run.
 func TestPredecodedConcurrentRuns(t *testing.T) {
 	f, err := backend.Compile(source.MustParse(scanSrc))
 	if err != nil {
@@ -90,61 +90,6 @@ func TestPredecodedConcurrentRuns(t *testing.T) {
 			t.Error(err)
 		}
 	}
-}
-
-// TestRunBatch drives several kernels through one batch and demands
-// each job's metrics match its standalone run, and that a failing job
-// is reported with its index.
-func TestRunBatch(t *testing.T) {
-	srcs := []string{
-		scanSrc,
-		`float B[64]; float p = 1.0;
-		 for (i = 0; i < 64; i++) { p = p * 1.001; }`,
-		`int a = 3; int b = 4; int c = a * b + 1;`,
-	}
-	d := machine.IA64Like()
-	jobs := make([]BatchRun, len(srcs))
-	want := make([]*Metrics, len(srcs))
-	for i, src := range srcs {
-		f, err := backend.Compile(source.MustParse(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := Run(f, d, nil, interp.NewEnv(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = m
-		jobs[i] = BatchRun{Pre: Predecode(f, d, nil, false), Env: interp.NewEnv()}
-	}
-	got, err := RunBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if got[i].Cycles != want[i].Cycles || got[i].Instrs != want[i].Instrs {
-			t.Errorf("job %d: cycles/instrs = %d/%d, want %d/%d",
-				i, got[i].Cycles, got[i].Instrs, want[i].Cycles, want[i].Instrs)
-		}
-	}
-
-	// A job that trips the instruction limit fails with its index.
-	jobs[1].MaxInstrs = 1
-	jobs[1].Env = interp.NewEnv()
-	if _, err := RunBatch(context.Background(), jobs); err == nil {
-		t.Error("limit-tripping batch job reported no error")
-	} else if want := "batch job 1"; !contains(err.Error(), want) {
-		t.Errorf("batch error %q does not carry %q", err, want)
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestPredecodedProfileExactSum verifies the profiler's exact-sum
