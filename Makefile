@@ -18,6 +18,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/memo/
 
 vet:
 	$(GO) vet ./...
@@ -47,7 +48,7 @@ fuzz:
 # Single-pass smoke of every Benchmark* (no statistics); use
 # `go test -bench . -benchtime 10x ./internal/bench/` for real numbers.
 bench:
-	$(GO) test -run XXX -bench . -benchtime 1x ./internal/bench/ ./internal/pipeline/ ./internal/server/
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/bench/ ./internal/pipeline/ ./internal/obs/ ./internal/server/
 
 # Regenerate all paper figures and the per-kernel cycle totals into the
 # golden that TestHarnessDeterminism pins; review the diff before

@@ -683,10 +683,10 @@ func TestCLIContract(t *testing.T) {
 				if code != 2 {
 					t.Errorf("%v exited %d, want usage code 2", args, code)
 				}
-				// Bad flag *values* and stray arguments (as opposed to
-				// flag-package parse errors and the missing-argument
-				// usage line) report through the slog wrapper.
-				if len(args) > 0 && args[0] != "-definitely-not-a-flag" &&
+				// Bad flag *values*, stray arguments and a missing
+				// argument (as opposed to flag-package parse errors)
+				// report through the slog wrapper.
+				if (len(args) == 0 || args[0] != "-definitely-not-a-flag") &&
 					!strings.Contains(stderr, "slms: error:") {
 					t.Errorf("%v did not report through the slog wrapper:\n%s", args, stderr)
 				}

@@ -73,8 +73,7 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: slmsc [flags] file.c  (use - for stdin)")
-		os.Exit(2)
+		obs.Usagef("usage: slmsc [flags] file.c  (use - for stdin)")
 	}
 	switch *expand {
 	case "mve", "array":

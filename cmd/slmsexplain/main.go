@@ -48,8 +48,7 @@ func main() {
 	tele.Activate()
 	defer tele.MustFinish()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: slmsexplain file.c  (use - for stdin)")
-		os.Exit(2)
+		obs.Usagef("usage: slmsexplain file.c  (use - for stdin)")
 	}
 	var text []byte
 	var err error

@@ -62,8 +62,7 @@ func main() {
 	tele.Activate()
 
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: slmslint [flags] file.c...  (use - for stdin)")
-		os.Exit(2)
+		obs.Usagef("usage: slmslint [flags] file.c...  (use - for stdin)")
 	}
 	opts := analysis.LintOptions{Core: core.DefaultOptions(), Diff: *diff, Seeds: *seeds}
 	opts.Core.Filter = !*noFilter

@@ -31,7 +31,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -61,8 +60,7 @@ func main() {
 	defer tele.MustFinish()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: slmsprof [flags] file.c  (use - for stdin)")
-		os.Exit(2)
+		obs.Usagef("usage: slmsprof [flags] file.c  (use - for stdin)")
 	}
 	switch *format {
 	case "text", "json", "pprof":

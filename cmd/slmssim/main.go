@@ -65,8 +65,7 @@ func main() {
 	}
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: slmssim [flags] file.c  (use - for stdin)")
-		os.Exit(2)
+		obs.Usagef("usage: slmssim [flags] file.c  (use - for stdin)")
 	}
 	// Flag-value mistakes are usage errors (exit 2), distinct from
 	// failed work (exit 1); check them before doing any work.

@@ -52,8 +52,11 @@ func AblationFilter() (*Figure, error) {
 			von = outOn.Speedup
 		}
 		note := ""
-		if outOff.Applied && !outOn.Applied {
+		switch {
+		case outOff.Applied && !outOn.Applied:
 			note = "filtered"
+		case !outOff.Applied && !outOn.Applied:
+			note = reasonOf(outOn)
 		}
 		f.Rows = append(f.Rows, Row{Kernel: k.Name, Value: voff, Value2: von,
 			Applied: outOff.Applied || outOn.Applied, Note: note})

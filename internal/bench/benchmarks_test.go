@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"slms/internal/core"
 	"slms/internal/machine"
 	"slms/internal/pipeline"
 	"slms/internal/sim"
@@ -36,9 +35,7 @@ func BenchmarkSimRun(b *testing.B) {
 // figure suite.
 func BenchmarkAllFigures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ResetMeasurements()
-		pipeline.ResetCache()
-		core.ResetTransformCache()
+		ResetHarnessState()
 		if _, err := AllFigures(); err != nil {
 			b.Fatal(err)
 		}

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"slms/internal/core"
 	"slms/internal/machine"
+	"slms/internal/memo"
 	"slms/internal/pipeline"
 	"slms/internal/sim"
 	"slms/internal/source"
@@ -24,10 +24,10 @@ const goldenPath = "testdata/figures.golden"
 
 // TestHarnessDeterminism pins the harness output to the golden file,
 // byte for byte, from two renders that share no state: the fast path
-// (figures and their rows fanned out over the shared pool, every cache
-// and the measurement memo in use) and a fully serial one (one pool
-// worker, the artifact and transform caches disabled). Each render
-// starts from cold.
+// (figures and their rows fanned out over the shared pool, the pipeline
+// cache and the measurement memo in use) and a fully serial one (one
+// pool worker, the pipeline cache disabled). Each render starts from
+// cold.
 func TestHarnessDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full figure suite twice")
@@ -50,7 +50,7 @@ func TestHarnessDeterminism(t *testing.T) {
 	}
 
 	fast := render()
-	// A from-cold full run must have done real work in every cache layer.
+	// A from-cold full run must have done real work in every cache stage.
 	c := snapshotCaches()
 	for _, layer := range []struct {
 		name         string
@@ -67,12 +67,10 @@ func TestHarnessDeterminism(t *testing.T) {
 
 	oldWorkers := Workers()
 	SetWorkers(1)
-	pipeline.SetCacheEnabled(false)
-	core.SetTransformCacheEnabled(false)
+	memo.SetEnabled(false)
 	defer func() {
 		SetWorkers(oldWorkers)
-		pipeline.SetCacheEnabled(true)
-		core.SetTransformCacheEnabled(true)
+		memo.SetEnabled(true)
 		ResetHarnessState()
 	}()
 	serial := render()

@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"slms/internal/machine"
-	"slms/internal/obs"
+	"slms/internal/memo"
 	"slms/internal/pipeline"
 )
 
@@ -131,14 +131,13 @@ func ResetMeasurements() {
 }
 
 // ResetHarnessState drops every cross-run memo and cache (measurement
-// memo, kernel aggregates, artifact/transform/parse caches) so the next
-// run measures real work from cold. The three pipeline caches clear
-// through the obs cache-reset registry — one atomic operation over all
-// stat groups, so a snapshot taken after the reset sees every layer at
-// zero, never a half-cleared mix.
+// memo, kernel aggregates and the pipeline cache) so the next run
+// measures real work from cold. memo.Reset clears every pipeline stage
+// and its counters as one operation, so a snapshot taken after the
+// reset sees every stage at zero, never a half-cleared mix.
 func ResetHarnessState() {
 	ResetMeasurements()
-	obs.ResetCaches()
+	memo.Reset()
 }
 
 // measureCached memoizes measure: the same (kernel, machine, compiler)

@@ -130,6 +130,8 @@ type PrecisionRow struct {
 	// in both modes, strictly lower II with the solver.
 	NewlyPipelined bool `json:"newly_pipelined"`
 	LowerII        bool `json:"lower_ii"`
+	// skipReason is the first skipped loop's reason with the solver.
+	skipReason string
 }
 
 // PrecisionStat summarizes the census. The precision figure and
@@ -174,6 +176,7 @@ func PrecisionCensus(kernels []Kernel) ([]PrecisionRow, PrecisionStat, error) {
 			IILegacy: rl.bestII, IIExact: re.bestII,
 			NewlyPipelined: re.bestII > 0 && rl.bestII == 0,
 			LowerII:        re.bestII > 0 && rl.bestII > 0 && re.bestII < rl.bestII,
+			skipReason:     re.skipReason,
 		}
 		rows = append(rows, row)
 		sum.Kernels++
@@ -197,6 +200,7 @@ func PrecisionCensus(kernels []Kernel) ([]PrecisionRow, PrecisionStat, error) {
 type modeStats struct {
 	unknown, pairs, resolved, killed, promoted int
 	bestII                                     int64
+	skipReason                                 string // first skipped loop's
 }
 
 func transformStats(src string, opts core.Options) (modeStats, error) {
@@ -209,6 +213,9 @@ func transformStats(src string, opts core.Options) (modeStats, error) {
 	for _, res := range results {
 		if res.Applied && (st.bestII == 0 || res.II < st.bestII) {
 			st.bestII = res.II
+		}
+		if !res.Applied && st.skipReason == "" {
+			st.skipReason = res.Reason
 		}
 		if res.Dep == nil {
 			continue
@@ -246,6 +253,8 @@ func FigurePrecision() (*Figure, error) {
 			note = fmt.Sprintf("II %d -> %d", r.IILegacy, r.IIExact)
 		case r.Resolved > 0 || r.Killed > 0:
 			note = fmt.Sprintf("resolved %d pair(s), killed %d", r.Resolved, r.Killed)
+		case r.IIExact == 0:
+			note = r.skipReason
 		}
 		f.Rows = append(f.Rows, Row{
 			Kernel:  r.Kernel,

@@ -75,11 +75,7 @@ func TestDisabledProfilerOverheadUnderOnePercent(t *testing.T) {
 	if os.Getenv("SLMS_OVERHEAD_CHECK") == "" {
 		t.Skip("set SLMS_OVERHEAD_CHECK=1 to run the overhead guard")
 	}
-	resetAll := func() {
-		ResetMeasurements()
-		core.ResetTransformCache()
-		pipeline.ResetCache()
-	}
+	resetAll := ResetHarnessState
 
 	// Pass 1 (profiled): count the dormant check sites the suite's
 	// simulations would touch when disabled — one per instruction (the

@@ -5,16 +5,15 @@ import (
 
 	"slms/internal/core"
 	"slms/internal/machine"
+	"slms/internal/memo"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/source"
 )
 
-// The cache-reset contract: the three caching layers (parse, transform,
-// compile) clear through one obs.ResetCaches call, and each layer's
-// reset zeroes its stat atomics AND its mirrored registry counters
-// together. Before the registry existed, a caller that reset the caches
-// but not the counters (or vice versa) left the two views disagreeing.
+// The cache-reset contract: the four pipeline cache stages (parse,
+// transform, lower, compile) live in one cache, and one memo.Reset
+// empties every stage and zeroes its registry counters together.
 
 const resetKernel = `float A[32]; float B[32];
 float t = 0.0; float s = 0.0;
@@ -25,8 +24,8 @@ for (i = 0; i < 32; i++) {
 `
 
 // primeCaches drives one parse, transform and compile through the
-// cached paths twice, guaranteeing every layer records at least one
-// miss and one hit.
+// cached entry points twice, so every stage records at least one miss
+// and, except lower (which only a compile miss reads), one hit.
 func primeCaches(t *testing.T) {
 	t.Helper()
 	d := machine.IA64Like()
@@ -44,80 +43,87 @@ func primeCaches(t *testing.T) {
 	}
 }
 
-// cacheCounts snapshots the cumulative counters of every caching layer
-// under the harness: source parse, core transform, pipeline artifact
-// ("compile").
+// cacheCounts snapshots the hit and miss counters of every pipeline
+// cache stage.
 type cacheCounts struct {
 	parseHits, parseMisses         int64
 	transformHits, transformMisses int64
+	lowerHits, lowerMisses         int64
 	compileHits, compileMisses     int64
 }
 
-// snapshotCaches reads the stat atomics of all three layers.
+// snapshotCaches reads every stage's counters, the parse, transform and
+// compile stages through the stats views their packages export.
 func snapshotCaches() cacheCounts {
 	var c cacheCounts
 	c.parseHits, c.parseMisses = source.ParseCacheStats()
 	c.transformHits, c.transformMisses = core.TransformCacheStats()
+	c.lowerHits, c.lowerMisses = memo.Stats(memo.Lower)
 	c.compileHits, c.compileMisses = pipeline.CacheStats()
 	return c
 }
 
-// registryCacheCounts reads the mirrored registry counters for all
-// three layers.
+// registryCacheCounts reads every stage's counters by their published
+// registry names.
 func registryCacheCounts() cacheCounts {
 	var c cacheCounts
 	c.parseHits = obs.CounterName("source.parse.cache.hits").Value()
 	c.parseMisses = obs.CounterName("source.parse.cache.misses").Value()
 	c.transformHits = obs.CounterName("core.transform.cache.hits").Value()
 	c.transformMisses = obs.CounterName("core.transform.cache.misses").Value()
+	c.lowerHits = obs.CounterName("pipeline.lower.cache.hits").Value()
+	c.lowerMisses = obs.CounterName("pipeline.lower.cache.misses").Value()
 	c.compileHits = obs.CounterName("pipeline.compile.cache.hits").Value()
 	c.compileMisses = obs.CounterName("pipeline.compile.cache.misses").Value()
 	return c
 }
 
+// TestResetCachesClearsAllStatGroups: once every stage has counted
+// traffic, the stats views read the counters published under the
+// registry names, and one memo.Reset zeroes all of them.
 func TestResetCachesClearsAllStatGroups(t *testing.T) {
 	ResetHarnessState()
 	primeCaches(t)
 
 	stats := snapshotCaches()
-	if stats.parseMisses == 0 || stats.transformMisses == 0 || stats.compileMisses == 0 {
+	if stats.parseMisses == 0 || stats.transformMisses == 0 || stats.lowerMisses == 0 || stats.compileMisses == 0 {
 		t.Fatalf("priming did not touch every cache: %+v", stats)
 	}
 	if stats.parseHits == 0 || stats.transformHits == 0 || stats.compileHits == 0 {
 		t.Fatalf("priming did not hit every cache: %+v", stats)
 	}
 	if reg := registryCacheCounts(); reg != stats {
-		t.Fatalf("registry counters %+v diverge from stat atomics %+v before reset", reg, stats)
+		t.Fatalf("registry counters %+v diverge from stats views %+v before reset", reg, stats)
 	}
 
-	obs.ResetCaches()
+	memo.Reset()
 	if got := snapshotCaches(); got != (cacheCounts{}) {
-		t.Errorf("stat atomics not all zero after ResetCaches: %+v", got)
+		t.Errorf("stats views not all zero after memo.Reset: %+v", got)
 	}
 	if got := registryCacheCounts(); got != (cacheCounts{}) {
-		t.Errorf("registry counters not all zero after ResetCaches: %+v", got)
+		t.Errorf("registry counters not all zero after memo.Reset: %+v", got)
 	}
 }
 
-// TestCacheSumsHoldAfterReset proves the two views stay in step across
-// a reset: after ResetHarnessState plus new work, the stat atomics count
-// exactly that work and the registry counters agree with them — no
-// stale counts from before the reset leak into either.
+// TestCacheSumsHoldAfterReset: after dirtying every stage, one
+// ResetHarnessState (which calls memo.Reset) zeroes every stage's
+// counts and drops every entry, so the same work afterwards counts from
+// cold — each stage misses once, then hits once (lower, read only by a
+// compile miss, misses once) — and the registry counters agree.
 func TestCacheSumsHoldAfterReset(t *testing.T) {
-	primeCaches(t) // dirty every layer first
+	primeCaches(t) // dirty every stage first
 	ResetHarnessState()
 
 	if before := snapshotCaches(); before != (cacheCounts{}) {
-		t.Fatalf("snapshot after reset not zero: %+v", before)
+		t.Fatalf("counts after reset = %+v, want all zero", before)
 	}
 	primeCaches(t)
 	after := snapshotCaches()
-	// One priming pass from cold: each layer misses once, then hits once.
-	want := cacheCounts{1, 1, 1, 1, 1, 1}
+	want := cacheCounts{1, 1, 1, 1, 0, 1, 1, 1}
 	if after != want {
-		t.Errorf("stat atomics after reset+work = %+v, want %+v", after, want)
+		t.Errorf("counts after reset+work = %+v, want %+v", after, want)
 	}
 	if reg := registryCacheCounts(); reg != after {
-		t.Errorf("registry counters %+v diverge from stat atomics %+v after reset+work", reg, after)
+		t.Errorf("registry counters %+v diverge from stats views %+v after reset+work", reg, after)
 	}
 }

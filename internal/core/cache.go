@@ -1,98 +1,30 @@
 package core
 
 import (
-	"crypto/sha256"
-	"sync"
-	"sync/atomic"
-
+	"slms/internal/memo"
 	"slms/internal/obs"
 	"slms/internal/source"
 )
 
-// Cache effectiveness counters, mirrored into the metrics registry.
-var (
-	tcHits   = obs.CounterName("core.transform.cache.hits")
-	tcMisses = obs.CounterName("core.transform.cache.misses")
-)
-
-// The transform cache memoizes TransformProgram results. The SLMS
-// transformation depends only on the program text and the options —
-// not on the target machine or final compiler — yet the evaluation
-// harness re-derives it for every (machine, compiler) cell of every
-// figure. Memoizing the transform removes that repeated dependence
-// analysis and II search from the evaluation loop.
-//
-// Cached outputs are shared, not cloned: the transformed program and
-// the result records must be treated as read-only by callers (the
-// pipeline only prints, compiles and simulates them, all of which are
-// read-only over the AST).
-
-type transformKey struct {
-	prog [sha256.Size]byte
-	opts Options
-}
-
-type transformEntry struct {
-	once    sync.Once
-	program *source.Program
+// transformed is the transform stage's cache value. The SLMS
+// transformation depends only on the program text and the options — not
+// on the target machine or final compiler — yet the evaluation harness
+// runs it for every (machine, compiler) cell of every figure, so it is a
+// stage of the pipeline cache (package memo). The pipeline only prints,
+// compiles and simulates the shared outputs, all read-only over the AST.
+type transformed struct {
+	prog    *source.Program
 	results []*Result
-	err     error
 }
 
-type transformCache struct {
-	mu      sync.Mutex
-	entries map[transformKey]*transformEntry
-	enabled atomic.Bool
-	hits    atomic.Int64
-	misses  atomic.Int64
-}
+// TransformCacheStats reports the transform stage's cumulative hit and
+// miss counts since the last memo.Reset.
+func TransformCacheStats() (hits, misses int64) { return memo.Stats(memo.Transform) }
 
-var defaultTransformCache = func() *transformCache {
-	c := &transformCache{entries: map[transformKey]*transformEntry{}}
-	c.enabled.Store(true)
-	return c
-}()
-
-// SetTransformCacheEnabled turns the process-wide transform cache on or
-// off (on by default). Disabling drops all cached transforms.
-func SetTransformCacheEnabled(on bool) {
-	c := defaultTransformCache
-	c.enabled.Store(on)
-	if !on {
-		ResetTransformCache()
-	}
-}
-
-// The transform cache participates in the obs cache-reset registry so
-// obs.ResetCaches clears all three caching layers (parse, transform,
-// compile) as one operation.
-func init() { obs.RegisterCacheReset(ResetTransformCache) }
-
-// ResetTransformCache drops every cached transform and zeroes the
-// hit/miss counters — the stat atomics and their mirrored registry
-// counters together, so TransformCacheStats and a metrics dump never
-// disagree after a reset.
-func ResetTransformCache() {
-	c := defaultTransformCache
-	c.mu.Lock()
-	c.entries = map[transformKey]*transformEntry{}
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	tcHits.Reset()
-	tcMisses.Reset()
-}
-
-// TransformCacheStats reports the transform cache's cumulative hit and
-// miss counts since the last reset.
-func TransformCacheStats() (hits, misses int64) {
-	return defaultTransformCache.hits.Load(), defaultTransformCache.misses.Load()
-}
-
-// TransformProgramCached is TransformProgram behind the process-wide
-// transform cache: identical (program, options) pairs transform once
-// and share the output. The returned program and results must be
-// treated as read-only.
+// TransformProgramCached is TransformProgram behind the pipeline cache:
+// identical (program, options) pairs transform once and share the
+// output. The returned program and results must be treated as
+// read-only.
 func TransformProgramCached(p *source.Program, opts Options) (*source.Program, []*Result, error) {
 	return TransformProgramCachedSpan(nil, p, opts)
 }
@@ -101,28 +33,10 @@ func TransformProgramCached(p *source.Program, opts Options) (*source.Program, [
 // with the cache outcome; a miss runs the transform under sp (per-loop
 // spans and decision records).
 func TransformProgramCachedSpan(sp *obs.Span, p *source.Program, opts Options) (*source.Program, []*Result, error) {
-	c := defaultTransformCache
-	if !c.enabled.Load() {
-		sp.Attr("cache", "off")
-		return TransformProgramSpan(sp, p, opts)
-	}
-	key := transformKey{prog: source.Fingerprint(p), opts: opts}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &transformEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		tcHits.Add(1)
-		sp.Attr("cache", "hit")
-	} else {
-		c.misses.Add(1)
-		tcMisses.Add(1)
-		sp.Attr("cache", "miss")
-	}
-	e.once.Do(func() { e.program, e.results, e.err = TransformProgramSpan(sp, p, opts) })
-	return e.program, e.results, e.err
+	k := memo.Key{Stage: memo.Transform, Hash: source.Fingerprint(p), Config: opts}
+	t, err := memo.Get(sp, k, source.PrintedLen(p), func() (transformed, error) {
+		out, results, err := TransformProgramSpan(sp, p, opts)
+		return transformed{out, results}, err
+	})
+	return t.prog, t.results, err
 }

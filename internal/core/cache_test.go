@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"slms/internal/memo"
 	"slms/internal/source"
 )
 
@@ -19,9 +20,9 @@ func TestTransformCacheAccounting(t *testing.T) {
 	`
 	prog := source.MustParse(src)
 
-	SetTransformCacheEnabled(true)
-	ResetTransformCache()
-	t.Cleanup(func() { SetTransformCacheEnabled(true); ResetTransformCache() })
+	memo.SetEnabled(true)
+	memo.Reset()
+	t.Cleanup(func() { memo.SetEnabled(true); memo.Reset() })
 
 	const repeats = 4
 	for i := 0; i < repeats; i++ {
@@ -49,7 +50,7 @@ func TestTransformCacheAccounting(t *testing.T) {
 	}
 
 	// Forced recompute: disabling drops the cache and counts nothing.
-	SetTransformCacheEnabled(false)
+	memo.SetEnabled(false)
 	for i := 0; i < repeats; i++ {
 		if _, _, err := TransformProgramCached(prog, DefaultOptions()); err != nil {
 			t.Fatalf("uncached transform %d: %v", i, err)
@@ -61,12 +62,12 @@ func TestTransformCacheAccounting(t *testing.T) {
 
 	// The cached and uncached transforms must agree (the memo is
 	// observationally transparent).
-	SetTransformCacheEnabled(true)
+	memo.SetEnabled(true)
 	cachedOut, cachedResults, err := TransformProgramCached(prog, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetTransformCacheEnabled(false)
+	memo.SetEnabled(false)
 	plainOut, plainResults, err := TransformProgram(prog, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

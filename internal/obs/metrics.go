@@ -34,9 +34,9 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Reset zeroes the counter. Counters are monotonic over a process's
-// serving life; Reset exists for the harness-facing cache counters,
-// which restart with their caches (see RegisterCacheReset) so per-run
-// deltas and the mirrored cache stats agree.
+// serving life; Reset exists for the pipeline cache's hit and miss
+// counters, which restart with the cache (see memo.Reset) so per-run
+// counts start from zero.
 func (c *Counter) Reset() { c.v.Store(0) }
 
 // Gauge is a last-write-wins instantaneous value.

@@ -199,12 +199,11 @@ func (t *Tracer) Spans() []*Span {
 // named phase histogram of the default registry. The histogram is
 // always recorded (it is cheap); the span only exists when tracing is
 // on.
-func Time(parent *Span, name string, fn func(sp *Span)) time.Duration {
+func Time(parent *Span, name string, fn func(sp *Span)) {
 	sp := parent.Child(name)
 	start := time.Now()
 	fn(sp)
 	d := time.Since(start)
 	sp.End()
 	PhaseHist(name).Observe(d)
-	return d
 }

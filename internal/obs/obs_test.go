@@ -181,14 +181,11 @@ func TestMetricsRegistry(t *testing.T) {
 func TestTimeRecordsPhaseHistogram(t *testing.T) {
 	Default.Reset()
 	Disable()
-	d := Time(nil, "unit-test-phase", func(sp *Span) {
+	Time(nil, "unit-test-phase", func(sp *Span) {
 		if sp != nil {
 			t.Error("Time gave a non-nil span with tracing disabled")
 		}
 	})
-	if d < 0 {
-		t.Errorf("duration = %v", d)
-	}
 	if got := PhaseHist("unit-test-phase").count.Load(); got != 1 {
 		t.Errorf("phase histogram count = %d, want 1", got)
 	}

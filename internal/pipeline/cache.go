@@ -2,181 +2,63 @@ package pipeline
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"slms/internal/ir"
 	"slms/internal/machine"
+	"slms/internal/memo"
 	"slms/internal/obs"
 	"slms/internal/source"
 )
 
-// Mirror the cache counters into the metrics registry so a -metrics
-// dump shows compile-cache effectiveness without calling CacheStats.
-var (
-	ccHits   = obs.CounterName("pipeline.compile.cache.hits")
-	ccMisses = obs.CounterName("pipeline.compile.cache.misses")
-)
+// The figure suite compiles the same (kernel, machine, compiler) triple
+// many times — the base program recurs across figures and across the
+// MVE / scalar-expansion variants of one measurement — so compilation
+// is two stages of the pipeline cache (package memo): lower, keyed by
+// the program, and compile, keyed by the program and a compileConfig.
+// sim.Run treats an artifact as immutable (see package sim), so one
+// shared artifact may be simulated from any number of goroutines.
 
-// The artifact cache memoizes CompileFor results. The figure suite
-// compiles the same (kernel, machine, compiler) triple many times — the
-// base program recurs across figures and across the MVE / scalar-
-// expansion variants of one measurement — and compilation dominates the
-// evaluation loop's cost, so memoizing artifacts is the single biggest
-// win for harness throughput.
-//
-// Keying: the program is fingerprinted by hashing its printed source
-// (source.Print round-trips the AST deterministically), and the machine
-// and compiler descriptions are embedded by value — both are flat
-// comparable structs, so two configurations collide only if they are
-// semantically identical. Cached artifacts are shared, not copied:
-// sim.Run treats a compiled artifact as immutable (see package sim), so
-// one artifact may be simulated from any number of goroutines at once.
-
-// cacheKey identifies one (program, machine, compiler) compilation.
-type cacheKey struct {
-	prog [sha256.Size]byte
+// compileConfig is the compile stage's configuration. Both descriptions
+// are flat comparable structs, so two configurations collide only if
+// they are semantically identical.
+type compileConfig struct {
 	mach machine.Desc
 	cc   Compiler
 }
 
-// cacheEntry is a once-filled slot so concurrent requests for the same
-// key compile exactly once without holding the table lock.
-type cacheEntry struct {
-	once sync.Once
-	art  *Artifact
-	err  error
-}
+// CacheStats reports the compile stage's cumulative hit and miss counts
+// since the last memo.Reset.
+func CacheStats() (hits, misses int64) { return memo.Stats(memo.Compile) }
 
-// lowerEntry is a once-filled slot for the machine-independent front
-// half of a compilation (lowering + CSE); artifact-cache misses for
-// different machines share it and clone the lowered function.
-type lowerEntry struct {
-	once sync.Once
-	f    *ir.Func
-	err  error
-}
-
-type artifactCache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-	lowered map[[sha256.Size]byte]*lowerEntry
-	enabled atomic.Bool
-	hits    atomic.Int64
-	misses  atomic.Int64
-}
-
-var defaultCache = func() *artifactCache {
-	c := &artifactCache{
-		entries: map[cacheKey]*cacheEntry{},
-		lowered: map[[sha256.Size]byte]*lowerEntry{},
-	}
-	c.enabled.Store(true)
-	return c
-}()
-
-// SetCacheEnabled turns the process-wide artifact cache on or off
-// (it is on by default). Disabling also drops all cached artifacts and
-// resets the hit/miss counters.
-func SetCacheEnabled(on bool) {
-	defaultCache.enabled.Store(on)
-	if !on {
-		ResetCache()
-	}
-}
-
-// The artifact cache participates in the obs cache-reset registry so
-// obs.ResetCaches clears all three caching layers (parse, transform,
-// compile) as one operation.
-func init() { obs.RegisterCacheReset(ResetCache) }
-
-// ResetCache drops every cached artifact and zeroes the hit/miss
-// counters — the stat atomics and their mirrored registry counters
-// together, so CacheStats and a metrics dump never disagree after a
-// reset.
-func ResetCache() {
-	c := defaultCache
-	c.mu.Lock()
-	c.entries = map[cacheKey]*cacheEntry{}
-	c.lowered = map[[sha256.Size]byte]*lowerEntry{}
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	ccHits.Reset()
-	ccMisses.Reset()
-}
-
-// CacheStats reports the artifact cache's cumulative hit and miss
-// counts since the last reset.
-func CacheStats() (hits, misses int64) {
-	return defaultCache.hits.Load(), defaultCache.misses.Load()
-}
-
-// CompileForCached is CompileFor behind the process-wide artifact
-// cache: identical (program, machine, compiler) triples compile once
-// and share the artifact. The returned artifact must be treated as
-// read-only; simulating it (sim.Run) is safe concurrently.
+// CompileForCached is CompileFor behind the pipeline cache: identical
+// (program, machine, compiler) triples compile once and share the
+// artifact. The returned artifact must be treated as read-only;
+// simulating it (sim.Run) is safe concurrently.
 func CompileForCached(p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	return compileForCachedCtxSpan(context.Background(), nil, p, d, cc)
 }
 
 // compileForCachedCtxSpan is CompileForCached annotating sp with the
-// cache outcome ("hit", "miss", or "off"). ctx bounds the uncached
-// compile path; a cached (shared) compile runs to completion regardless
-// — a canceled request must never poison the slot other requests share —
-// but the deadline is still checked before returning the artifact.
+// cache outcome. A shared compile runs to completion regardless of ctx
+// — a canceled request must never poison the entry other requests
+// share — but ctx is checked before the artifact is returned.
 func compileForCachedCtxSpan(ctx context.Context, sp *obs.Span, p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
-	c := defaultCache
-	if !c.enabled.Load() {
-		sp.Attr("cache", "off")
-		return CompileForCtx(ctx, p, d, cc)
-	}
-	key := cacheKey{prog: source.Fingerprint(p), mach: *d, cc: cc}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		ccHits.Add(1)
-		sp.Attr("cache", "hit")
-	} else {
-		c.misses.Add(1)
-		ccMisses.Add(1)
-		sp.Attr("cache", "miss")
-	}
-	e.once.Do(func() {
+	fp, n := source.Fingerprint(p), source.PrintedLen(p)
+	k := memo.Key{Stage: memo.Compile, Hash: fp, Config: compileConfig{*d, cc}}
+	art, err := memo.Get(sp, k, n, func() (*Artifact, error) {
 		// A miss still shares the machine-independent front half across
 		// all (machine, compiler) pairs of this program: lower once,
 		// clone per back-end run (the back end mutates the function).
-		f, err := c.lowerOnce(key.prog, p)
+		lk := memo.Key{Stage: memo.Lower, Hash: fp}
+		f, err := memo.Get(nil, lk, n, func() (*ir.Func, error) { return lower(p) })
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.art, e.err = scheduleFor(f.Clone(), d, cc)
+		return scheduleForCtx(context.Background(), f.Clone(), d, cc)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: compile aborted: %w", err)
 	}
-	return e.art, e.err
-}
-
-// lowerOnce returns the memoized lowered form of the program, running
-// lower at most once per fingerprint.
-func (c *artifactCache) lowerOnce(fp [sha256.Size]byte, p *source.Program) (*ir.Func, error) {
-	c.mu.Lock()
-	le, ok := c.lowered[fp]
-	if !ok {
-		le = &lowerEntry{}
-		c.lowered[fp] = le
-	}
-	c.mu.Unlock()
-	le.once.Do(func() { le.f, le.err = lower(p) })
-	return le.f, le.err
+	return art, err
 }

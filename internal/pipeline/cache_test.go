@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"slms/internal/memo"
 	"slms/internal/source"
 )
 
@@ -22,9 +23,9 @@ func TestCompileCacheAccounting(t *testing.T) {
 	d := allMachines()[0]
 	cc := allCompilers()[0]
 
-	SetCacheEnabled(true)
-	ResetCache()
-	t.Cleanup(func() { SetCacheEnabled(true); ResetCache() })
+	memo.SetEnabled(true)
+	memo.Reset()
+	t.Cleanup(func() { memo.SetEnabled(true); memo.Reset() })
 
 	const repeats = 5
 	for i := 0; i < repeats; i++ {
@@ -54,7 +55,7 @@ func TestCompileCacheAccounting(t *testing.T) {
 	// memo entirely and the counters stay zeroed — the cached run's miss
 	// count (2) is exactly the number of compilations this loop redoes
 	// per distinct cell.
-	SetCacheEnabled(false)
+	memo.SetEnabled(false)
 	for i := 0; i < repeats; i++ {
 		if _, err := CompileForCached(prog, d, cc); err != nil {
 			t.Fatalf("uncached compile %d: %v", i, err)
@@ -65,7 +66,7 @@ func TestCompileCacheAccounting(t *testing.T) {
 	}
 
 	// Re-enabling starts cold: the first compile is a miss again.
-	SetCacheEnabled(true)
+	memo.SetEnabled(true)
 	if _, err := CompileForCached(prog, d, cc); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"slms/internal/core"
 	"slms/internal/interp"
 	"slms/internal/machine"
+	"slms/internal/memo"
+	"slms/internal/sim"
 	"slms/internal/source"
 )
 
@@ -90,5 +92,47 @@ func TestCompileForCtxDeadline(t *testing.T) {
 	cancel()
 	if _, err := CompileForCtx(ctx, prog, machine.IA64Like(), StrongO3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestCanceledRunDoesNotPoisonCache: a request canceled before it
+// starts fails with context.Canceled, but the shared compile it started
+// runs to completion, so the next CompileForCached of the program hits
+// an artifact that simulates exactly like a fresh CompileFor's.
+func TestCanceledRunDoesNotPoisonCache(t *testing.T) {
+	memo.Reset()
+	t.Cleanup(memo.Reset)
+	prog := source.MustParse(`float A[64]; float B[64];
+for (i = 2; i < 64; i++) {
+	A[i] = A[i-1] + A[i-2] + B[i] * 0.5;
+}
+`)
+	d := machine.IA64Like()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := RunCtx(ctx, prog, d, StrongO3, interp.NewEnv()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled RunCtx: want context.Canceled, got %v", err)
+	}
+	cached, err := CompileForCached(prog, d, StrongO3)
+	if err != nil {
+		t.Fatalf("compile after a canceled request: %v", err)
+	}
+	if h, m := CacheStats(); h != 1 || m != 1 {
+		t.Errorf("compile cache hits=%d misses=%d, want 1/1 (the canceled request filled the entry)", h, m)
+	}
+	fresh, err := CompileFor(prog, d, StrongO3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := sim.Run(cached.Func, d, cached.Plan, interp.NewEnv(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, err := sim.Run(fresh.Func, d, fresh.Plan, interp.NewEnv(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Cycles != mf.Cycles {
+		t.Errorf("cached artifact simulates to %d cycles, fresh compile to %d", mc.Cycles, mf.Cycles)
 	}
 }

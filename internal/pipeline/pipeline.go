@@ -139,7 +139,7 @@ func CompileFor(p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, err
 // expensive II searches live here) checks ctx between blocks and aborts
 // early when the deadline passes. The cached path (CompileForCached)
 // deliberately does NOT take a context: cached artifacts are shared
-// across requests, and one canceled request must never poison the slot
+// across requests, and one canceled request must never poison the entry
 // every later request reuses.
 func CompileForCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	f, err := lower(p)
@@ -151,7 +151,7 @@ func CompileForCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc C
 
 // lower runs the machine-independent front half of the compilation:
 // lowering to the virtual ISA plus local CSE. The result feeds
-// scheduleFor, which mutates it.
+// scheduleForCtx, which mutates it.
 func lower(p *source.Program) (*ir.Func, error) {
 	f, err := backend.Compile(p)
 	if err != nil {
@@ -161,19 +161,14 @@ func lower(p *source.Program) (*ir.Func, error) {
 	return f, nil
 }
 
-// scheduleFor runs the machine-dependent back half: register
+// scheduleForCtx runs the machine-dependent back half: register
 // allocation, block scheduling and (for strong static compilers) IMS.
 // It mutates f — pass a Clone when the lowered function is shared.
 // Without a deadline the only failure mode is an invalid scheduler
-// configuration.
-func scheduleFor(f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
-	return scheduleForCtx(context.Background(), f, d, cc)
-}
-
-// scheduleForCtx is scheduleFor with a cancellation checkpoint before
-// each block's (potentially IMS-bearing) scheduling round. Blocks are
-// scheduled in order, and each fills its plan slot, its loop-map
-// entries and its loop head's mark as it goes.
+// configuration. ctx is checked before each block's (potentially
+// IMS-bearing) scheduling round. Blocks are scheduled in order, and each
+// fills its plan slot, its loop-map entries and its loop head's mark as
+// it goes.
 func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	imsCfg, err := ims.EffortConfig(cc.Scheduler, cc.Effort)
 	if err != nil {
@@ -257,7 +252,7 @@ func applyOrder(b *ir.Block, s *backend.BlockSched) {
 }
 
 // Run compiles and simulates a program, seeding and updating env.
-// Compilation goes through the artifact cache (see CompileForCached),
+// Compilation goes through the pipeline cache (see CompileForCached),
 // so repeated runs of the same (program, machine, compiler) triple
 // share one immutable artifact.
 func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {

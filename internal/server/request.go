@@ -174,7 +174,7 @@ func (r *Request) deadline(def, max time.Duration) (time.Duration, *apiError) {
 // semantically relevant request field (the deadline is excluded — it
 // changes when a result arrives, not what the result is). Keying on the
 // raw source bytes keeps the cached hot path free of parsing; the
-// artifact and transform caches underneath still deduplicate
+// pipeline cache underneath (package memo) still deduplicates
 // semantically identical programs by printed-AST fingerprint.
 func (r *Request) fingerprint(endpoint string) string {
 	canon := *r

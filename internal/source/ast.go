@@ -1,5 +1,7 @@
 package source
 
+import "sync/atomic"
+
 // Type is the static type of a mini-C expression or variable.
 type Type int
 
@@ -320,6 +322,8 @@ func (*ExprStmt) stmtNode() {}
 // and statements (the model the Tiny tool used — programs are kernels).
 type Program struct {
 	Stmts []Stmt
+
+	fp atomic.Pointer[fingerprint] // set on first use; see Fingerprint
 }
 
 // Block returns the program body as a Block.

@@ -1,75 +1,24 @@
 package source
 
 import (
-	"sync"
-	"sync/atomic"
+	"crypto/sha256"
 
-	"slms/internal/obs"
+	"slms/internal/memo"
 )
 
-// parseEntry is a once-filled parse-cache slot.
-type parseEntry struct {
-	once sync.Once
-	prog *Program
-	err  error
-}
+// ParseCacheStats reports the parse stage's cumulative hit and miss
+// counts since the last memo.Reset.
+func ParseCacheStats() (hits, misses int64) { return memo.Stats(memo.Parse) }
 
-var parseMemo sync.Map // source text -> *parseEntry
-
-// Parse-cache effectiveness counters, mirrored into the metrics
-// registry. The bench harness reports these per-cache alongside the
-// transform and compile caches (see internal/bench).
-var (
-	pcHits      atomic.Int64
-	pcMisses    atomic.Int64
-	pcHitsCtr   = obs.CounterName("source.parse.cache.hits")
-	pcMissesCtr = obs.CounterName("source.parse.cache.misses")
-)
-
-// ParseCacheStats reports the parse cache's cumulative hit and miss
-// counts since the last reset.
-func ParseCacheStats() (hits, misses int64) {
-	return pcHits.Load(), pcMisses.Load()
-}
-
-// The parse cache participates in the obs cache-reset registry so
-// obs.ResetCaches clears all three caching layers (parse, transform,
-// compile) as one operation.
-func init() { obs.RegisterCacheReset(ResetParseCache) }
-
-// ResetParseCache drops every cached parse and zeroes the hit/miss
-// counters — the stat atomics and their mirrored registry counters
-// together, so ParseCacheStats and a metrics dump never disagree after
-// a reset. Outstanding ASTs stay valid; subsequent identical sources
-// reparse (and mint fresh Fingerprint identities).
-func ResetParseCache() {
-	parseMemo.Range(func(k, _ any) bool {
-		parseMemo.Delete(k)
-		return true
-	})
-	pcHits.Store(0)
-	pcMisses.Store(0)
-	pcHitsCtr.Reset()
-	pcMissesCtr.Reset()
-}
-
-// ParseCached parses src through a process-wide cache: identical source
-// text parses once and all callers share the same immutable AST. Shared
-// ASTs also share their [Fingerprint], so downstream artifact and
-// transform caches hit by pointer without reprinting the program. Use
-// Parse instead when the caller intends to mutate the result.
+// ParseCached parses src through the pipeline cache (package memo),
+// keyed by the sha256 of the source text: identical source text parses
+// once and all callers share the same immutable AST. Shared ASTs also
+// share their [Fingerprint], so downstream transform and compile stages
+// hit without reprinting the program. Use Parse instead when the caller
+// intends to mutate the result.
 func ParseCached(src string) (*Program, error) {
-	v, loaded := parseMemo.LoadOrStore(src, &parseEntry{})
-	if loaded {
-		pcHits.Add(1)
-		pcHitsCtr.Add(1)
-	} else {
-		pcMisses.Add(1)
-		pcMissesCtr.Add(1)
-	}
-	e := v.(*parseEntry)
-	e.once.Do(func() { e.prog, e.err = Parse(src) })
-	return e.prog, e.err
+	k := memo.Key{Stage: memo.Parse, Hash: sha256.Sum256([]byte(src))}
+	return memo.Get(nil, k, len(src), func() (*Program, error) { return Parse(src) })
 }
 
 // MustParseCached is ParseCached for known-good sources; it panics on a
