@@ -19,6 +19,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/memo/
+	$(GO) test -race -count=10 -run TestConcurrentExplainsVerifyOnce ./internal/server/
 
 vet:
 	$(GO) vet ./...

@@ -148,7 +148,7 @@ func main() {
 		obs.Fatalf("%v", err)
 	}
 	if *verify {
-		if err := analysis.VerifyTransformed(prog, out, results); err != nil {
+		if err := analysis.VerifyTransformed(prog, out, results, opts); err != nil {
 			obs.Fatalf("verify: %v", err)
 		}
 	}

@@ -126,12 +126,13 @@ func main() {
 	}
 
 	if *slms {
-		transformed, results, err := core.TransformProgramSpan(sp, prog, core.DefaultOptions())
+		opts := core.DefaultOptions()
+		transformed, results, err := core.TransformProgramSpan(sp, prog, opts)
 		if err != nil {
 			fatal(err)
 		}
 		if *verify {
-			if err := analysis.VerifyTransformed(prog, transformed, results); err != nil {
+			if err := analysis.VerifyTransformed(prog, transformed, results, opts); err != nil {
 				fatal(fmt.Errorf("verify: %w", err))
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"slms/internal/analysis"
 	"slms/internal/bench"
 	"slms/internal/core"
+	"slms/internal/memo"
 	"slms/internal/source"
 )
 
@@ -247,9 +249,62 @@ func TestBrokenScheduleGateCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gerr := analysis.VerifyTransformed(prog, prog, []*core.Result{res})
+	gerr := analysis.VerifyTransformed(prog, prog, []*core.Result{res}, core.DefaultOptions())
 	if gerr == nil || !strings.Contains(gerr.Error(), analysis.CodeDepViolated) {
 		t.Fatalf("want a %s gate error, got %v", analysis.CodeDepViolated, gerr)
+	}
+}
+
+// TestVerifyStageBindsVerdictsToResults: the verify stage returns a
+// cached verdict only for the very results it was computed on. Warmed
+// with fig7's good shared transform, it must still refute a hand-broken
+// copy of those results — through the gate and through the lint — and
+// go on proving the shared transform from the cache afterwards.
+func TestVerifyStageBindsVerdictsToResults(t *testing.T) {
+	memo.SetEnabled(true)
+	memo.Reset()
+	t.Cleanup(memo.Reset)
+	prog, err := source.Parse(fig7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Filter = false
+	out, results, err := core.TransformProgramCached(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := analysis.VerifyTransformed(prog, out, results, opts); err != nil {
+		t.Fatalf("good transform: %v", err)
+	}
+
+	// The copy swaps the kernel rows of a fresh transform of the same
+	// loop and puts it in place of the shared applied result.
+	broken := slices.Clone(results)
+	applied := slices.IndexFunc(broken, func(r *core.Result) bool { return r.Applied })
+	if applied < 0 {
+		t.Fatal("fig7 loop was not transformed")
+	}
+	broken[applied] = transformFig7(t)
+	kf := kernelOf(t, pipelinedStmts(t, broken[applied]))
+	kf.Body.Stmts[0], kf.Body.Stmts[1] = kf.Body.Stmts[1], kf.Body.Stmts[0]
+
+	gerr := analysis.VerifyTransformed(prog, out, broken, opts)
+	if gerr == nil || !strings.Contains(gerr.Error(), analysis.CodeDepViolated) {
+		t.Errorf("gate on the broken copy: want a %s error, got %v", analysis.CodeDepViolated, gerr)
+	}
+	rep := analysis.LintTransformed("fig7.c", prog, out, broken, analysis.LintOptions{Core: opts})
+	if rep.Summary.Refuted != 1 || !slices.ContainsFunc(rep.Diags, func(d analysis.Diag) bool {
+		return d.Code == analysis.CodeDepViolated
+	}) {
+		t.Errorf("lint of the broken copy: want one %s refutation, got:\n%s", analysis.CodeDepViolated, rep.Render(false))
+	}
+
+	if err := analysis.VerifyTransformed(prog, out, results, opts); err != nil {
+		t.Errorf("good transform after the broken copy: %v", err)
+	}
+	if h, m := memo.Stats(memo.Verify); h != 3 || m != 1 {
+		t.Errorf("verify stage hits=%d misses=%d, want 3/1 (one fill, reused only for the shared results)", h, m)
 	}
 }
 

@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"slms/internal/core"
 	"slms/internal/dep"
+	"slms/internal/memo"
 	"slms/internal/source"
 )
 
@@ -54,21 +56,67 @@ type LintOptions struct {
 	Seeds int
 }
 
-// LintProgram transforms every innermost loop of prog and verifies each
-// application, producing a diagnostic report: why each loop was
-// accepted or rejected, and whether each transformation is proved,
-// refuted (with a witness edge) or inconclusive — in which case the
-// differential harness arbitrates. The returned error reports harness
-// failures (semantic errors, transform crashes), not findings.
+// verified is the verify stage's cache value: the results VerifyResult
+// ran on and its verdict on each.
+type verified struct {
+	results  []*core.Result
+	verdicts []*Verdict
+}
+
+// verifyAll runs VerifyResult on every applied result; a loop not
+// applied gets a nil verdict.
+func verifyAll(results []*core.Result) []*Verdict {
+	vs := make([]*Verdict, len(results))
+	for i, res := range results {
+		if res != nil && res.Applied {
+			vs[i] = VerifyResult(res)
+		}
+	}
+	return vs
+}
+
+// verdicts returns verifyAll(results) for results, the transformation
+// of prog under opts. A transform is immutable once shared, so the
+// verify stage of the pipeline cache (package memo) proves each
+// (program, options) pair once. A cached verdict is returned only for
+// the very results it was computed on — the transform stage's shared
+// output. Any other results (an uncached transform, a transform entry
+// evicted and filled again, a hand-broken copy) are verified afresh.
+func verdicts(prog *source.Program, opts core.Options, results []*core.Result) []*Verdict {
+	k := memo.Key{Stage: memo.Verify, Hash: source.Fingerprint(prog), Config: opts}
+	v, _ := memo.Get(nil, k, source.PrintedLen(prog), func() (verified, error) {
+		return verified{results, verifyAll(results)}, nil
+	})
+	if !slices.Equal(v.results, results) {
+		return verifyAll(results)
+	}
+	return v.verdicts
+}
+
+// LintProgram transforms every innermost loop of prog through the
+// pipeline cache and lints the transformation (see LintTransformed).
+// The returned error reports harness failures (semantic errors,
+// transform crashes), not findings.
 func LintProgram(file string, prog *source.Program, opts LintOptions) (*Report, error) {
-	rep := &Report{File: file}
-	transformed, results, err := core.TransformProgram(prog, opts.Core)
+	transformed, results, err := core.TransformProgramCached(prog, opts.Core)
 	if err != nil {
 		return nil, err
 	}
+	return LintTransformed(file, prog, transformed, results, opts), nil
+}
 
+// LintTransformed verifies every application in results, the
+// transformation of prog into transformed under opts.Core, producing a
+// diagnostic report: why each loop was accepted or rejected, and
+// whether each transformation is proved, refuted (with a witness edge)
+// or inconclusive — in which case the differential harness arbitrates.
+// It only reads the results and is safe on shared (cached)
+// transformations, whose verdicts come from the verify stage.
+func LintTransformed(file string, prog, transformed *source.Program, results []*core.Result, opts LintOptions) *Report {
+	rep := &Report{File: file}
+	vs := verdicts(prog, opts.Core, results)
 	needDiff := opts.Diff
-	for _, res := range results {
+	for i, res := range results {
 		rep.Summary.Loops++
 		line, col := posOf(res.Pos)
 		loopVar := ""
@@ -92,7 +140,7 @@ func LintProgram(file string, prog *source.Program, opts LintOptions) (*Report, 
 			continue
 		}
 		rep.Summary.Applied++
-		v := VerifyResult(res)
+		v := vs[i]
 		switch v.Status {
 		case StatusProved:
 			rep.Summary.Proved++
@@ -158,23 +206,25 @@ func LintProgram(file string, prog *source.Program, opts LintOptions) (*Report, 
 			})
 		}
 	}
-	return rep, nil
+	return rep
 }
 
-// VerifyTransformed gates an already-performed transformation: every
-// applied result must be statically proved; a refutation is an error
-// carrying the witness and diagnostic code, and inconclusive verdicts
-// are arbitrated by the differential harness. The loops are verified in
-// source order, and the first refutation is returned without verifying
-// the rest. It only reads the results and is safe on shared (cached)
-// transformations.
-func VerifyTransformed(orig, transformed *source.Program, results []*core.Result) error {
+// VerifyTransformed gates an already-performed transformation of orig
+// under opts: every applied result must be statically proved; the first
+// refutation in source order is an error carrying the witness and
+// diagnostic code, and inconclusive verdicts are arbitrated by the
+// differential harness. It only reads the results and is safe on shared
+// (cached) transformations, whose verdicts come from the verify stage,
+// so a gate over many (machine, compiler) cells proves each transform
+// once.
+func VerifyTransformed(orig, transformed *source.Program, results []*core.Result, opts core.Options) error {
+	vs := verdicts(orig, opts, results)
 	needDiff := false
-	for _, res := range results {
+	for i, res := range results {
 		if res == nil || !res.Applied {
 			continue
 		}
-		v := VerifyResult(res)
+		v := vs[i]
 		switch v.Status {
 		case StatusProved:
 		case StatusRefuted:

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"slms/internal/analysis"
 	"slms/internal/core"
 	"slms/internal/machine"
 	"slms/internal/memo"
@@ -11,9 +12,10 @@ import (
 	"slms/internal/source"
 )
 
-// The cache-reset contract: the four pipeline cache stages (parse,
-// transform, lower, compile) live in one cache, and one memo.Reset
-// empties every stage and zeroes its registry counters together.
+// The cache-reset contract: the five pipeline cache stages (parse,
+// transform, verify, lower, compile) live in one cache, and one
+// memo.Reset empties every stage and zeroes its registry counters
+// together.
 
 const resetKernel = `float A[32]; float B[32];
 float t = 0.0; float s = 0.0;
@@ -23,9 +25,9 @@ for (i = 0; i < 32; i++) {
 }
 `
 
-// primeCaches drives one parse, transform and compile through the
-// cached entry points twice, so every stage records at least one miss
-// and, except lower (which only a compile miss reads), one hit.
+// primeCaches drives one parse, transform, verification and compile
+// through the cached entry points twice, so every stage records at least
+// one miss and, except lower (which only a compile miss reads), one hit.
 func primeCaches(t *testing.T) {
 	t.Helper()
 	d := machine.IA64Like()
@@ -34,8 +36,12 @@ func primeCaches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if _, _, err := core.TransformProgramCached(prog, core.Options{}); err != nil {
+		out, results, err := core.TransformProgramCached(prog, core.Options{})
+		if err != nil {
 			t.Fatalf("transform: %v", err)
+		}
+		if err := analysis.VerifyTransformed(prog, out, results, core.Options{}); err != nil {
+			t.Fatalf("verify: %v", err)
 		}
 		if _, err := pipeline.CompileForCached(prog, d, pipeline.WeakO3); err != nil {
 			t.Fatalf("compile: %v", err)
@@ -48,16 +54,19 @@ func primeCaches(t *testing.T) {
 type cacheCounts struct {
 	parseHits, parseMisses         int64
 	transformHits, transformMisses int64
+	verifyHits, verifyMisses       int64
 	lowerHits, lowerMisses         int64
 	compileHits, compileMisses     int64
 }
 
 // snapshotCaches reads every stage's counters, the parse, transform and
-// compile stages through the stats views their packages export.
+// compile stages through the stats views their packages export, verify
+// and lower through memo.Stats.
 func snapshotCaches() cacheCounts {
 	var c cacheCounts
 	c.parseHits, c.parseMisses = source.ParseCacheStats()
 	c.transformHits, c.transformMisses = core.TransformCacheStats()
+	c.verifyHits, c.verifyMisses = memo.Stats(memo.Verify)
 	c.lowerHits, c.lowerMisses = memo.Stats(memo.Lower)
 	c.compileHits, c.compileMisses = pipeline.CacheStats()
 	return c
@@ -71,6 +80,8 @@ func registryCacheCounts() cacheCounts {
 	c.parseMisses = obs.CounterName("source.parse.cache.misses").Value()
 	c.transformHits = obs.CounterName("core.transform.cache.hits").Value()
 	c.transformMisses = obs.CounterName("core.transform.cache.misses").Value()
+	c.verifyHits = obs.CounterName("analysis.verify.cache.hits").Value()
+	c.verifyMisses = obs.CounterName("analysis.verify.cache.misses").Value()
 	c.lowerHits = obs.CounterName("pipeline.lower.cache.hits").Value()
 	c.lowerMisses = obs.CounterName("pipeline.lower.cache.misses").Value()
 	c.compileHits = obs.CounterName("pipeline.compile.cache.hits").Value()
@@ -86,10 +97,10 @@ func TestResetCachesClearsAllStatGroups(t *testing.T) {
 	primeCaches(t)
 
 	stats := snapshotCaches()
-	if stats.parseMisses == 0 || stats.transformMisses == 0 || stats.lowerMisses == 0 || stats.compileMisses == 0 {
+	if stats.parseMisses == 0 || stats.transformMisses == 0 || stats.verifyMisses == 0 || stats.lowerMisses == 0 || stats.compileMisses == 0 {
 		t.Fatalf("priming did not touch every cache: %+v", stats)
 	}
-	if stats.parseHits == 0 || stats.transformHits == 0 || stats.compileHits == 0 {
+	if stats.parseHits == 0 || stats.transformHits == 0 || stats.verifyHits == 0 || stats.compileHits == 0 {
 		t.Fatalf("priming did not hit every cache: %+v", stats)
 	}
 	if reg := registryCacheCounts(); reg != stats {
@@ -119,7 +130,7 @@ func TestCacheSumsHoldAfterReset(t *testing.T) {
 	}
 	primeCaches(t)
 	after := snapshotCaches()
-	want := cacheCounts{1, 1, 1, 1, 0, 1, 1, 1}
+	want := cacheCounts{1, 1, 1, 1, 1, 1, 0, 1, 1, 1}
 	if after != want {
 		t.Errorf("counts after reset+work = %+v, want %+v", after, want)
 	}

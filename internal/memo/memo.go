@@ -1,8 +1,10 @@
 // Package memo is the pipeline's one cache. The evaluation measures the
 // same few programs on many (machine, compiler, expansion) cells, so the
-// parse, transform, lower and compile stages are memoized by program
-// content in one process-wide table keyed by (stage, content hash,
-// configuration by value).
+// parse, transform, verify, lower and compile stages are memoized by
+// program content in one process-wide table keyed by (stage, content
+// hash, configuration by value). The verify stage holds the translation
+// validator's verdicts on a transform, which package analysis returns
+// only for the very results they were computed on.
 //
 // Each key is filled once; concurrent callers wait for that fill and
 // share its value, which they must treat as read-only. A failed fill is
@@ -29,6 +31,7 @@ type Stage uint8
 const (
 	Parse     Stage = iota // source text → AST
 	Transform              // (program, core options) → transformed program and loop results
+	Verify                 // (program, core options) → the verified results and their verdicts
 	Lower                  // program → lowered, CSE'd function (machine-independent)
 	Compile                // (program, machine, compiler) → artifact
 	numStages
@@ -39,6 +42,7 @@ const (
 var stageNames = [numStages]string{
 	"source.parse.cache",
 	"core.transform.cache",
+	"analysis.verify.cache",
 	"pipeline.lower.cache",
 	"pipeline.compile.cache",
 }

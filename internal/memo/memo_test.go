@@ -149,8 +149,12 @@ func TestProcessCacheStaysWithinBudget(t *testing.T) {
 	}
 }
 
-// Reset zeroes every stage's counters and empties the cache.
+// Reset zeroes every stage's counters and empties the cache, the
+// verifier's verdicts (the fifth stage) included.
 func TestResetZeroesEveryStage(t *testing.T) {
+	if numStages != 5 || stageNames[Verify] != "analysis.verify.cache" {
+		t.Fatalf("stages %v: want five, the verify stage named analysis.verify.cache", stageNames)
+	}
 	Reset()
 	t.Cleanup(Reset)
 	one := func() (int, error) { return 1, nil }

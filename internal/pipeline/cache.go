@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"slms/internal/ir"
 	"slms/internal/machine"
@@ -15,7 +16,8 @@ import (
 // many times — the base program recurs across figures and across the
 // MVE / scalar-expansion variants of one measurement — so compilation
 // is two stages of the pipeline cache (package memo): lower, keyed by
-// the program, and compile, keyed by the program and a compileConfig.
+// the program, and compile, keyed by the program and an interned
+// compileConfig.
 // sim.Run treats an artifact as immutable (see package sim), so one
 // shared artifact may be simulated from any number of goroutines.
 
@@ -25,6 +27,31 @@ import (
 type compileConfig struct {
 	mach machine.Desc
 	cc   Compiler
+}
+
+// configs interns compile configurations. The compile stage keys on a
+// configuration's canonical pointer rather than boxing the ~320-B struct
+// into memo.Key.Config, so a hit allocates nothing, and two
+// configurations share a pointer only if they are equal by value. The
+// table keeps every distinct (machine, compiler) pair the process has
+// compiled for: slmsd's requests name a fixed set of both.
+var configs = struct {
+	sync.Mutex
+	m map[compileConfig]*compileConfig
+}{m: map[compileConfig]*compileConfig{}}
+
+// internConfig returns the canonical pointer of the (d, cc) configuration.
+func internConfig(d *machine.Desc, cc Compiler) *compileConfig {
+	cfg := compileConfig{*d, cc}
+	configs.Lock()
+	defer configs.Unlock()
+	p := configs.m[cfg]
+	if p == nil {
+		p = new(compileConfig)
+		*p = cfg
+		configs.m[cfg] = p
+	}
+	return p
 }
 
 // CacheStats reports the compile stage's cumulative hit and miss counts
@@ -45,7 +72,7 @@ func CompileForCached(p *source.Program, d *machine.Desc, cc Compiler) (*Artifac
 // share — but ctx is checked before the artifact is returned.
 func compileForCachedCtxSpan(ctx context.Context, sp *obs.Span, p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	fp, n := source.Fingerprint(p), source.PrintedLen(p)
-	k := memo.Key{Stage: memo.Compile, Hash: fp, Config: compileConfig{*d, cc}}
+	k := memo.Key{Stage: memo.Compile, Hash: fp, Config: internConfig(d, cc)}
 	art, err := memo.Get(sp, k, n, func() (*Artifact, error) {
 		// A miss still shares the machine-independent front half across
 		// all (machine, compiler) pairs of this program: lower once,

@@ -407,7 +407,7 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 		if Verifying() {
 			var verr error
 			obs.Time(legSp, "verify", func(vsp *obs.Span) {
-				verr = verifyResults(prog, transformed, results)
+				verr = verifyResults(prog, transformed, results, opts)
 				if verr != nil {
 					vsp.Attr("verdict", "refuted")
 					obs.RecordDecision(vsp, obs.Decision{

@@ -24,10 +24,12 @@ func SetVerify(on bool) { verifyGate.Store(on) }
 // Verifying reports whether the verification gate is enabled.
 func Verifying() bool { return verifyGate.Load() }
 
-// verifyResults checks every applied result. Safe on cached (shared,
-// read-only) results: verification only reads them.
-func verifyResults(orig, transformed *source.Program, results []*core.Result) error {
-	if err := analysis.VerifyTransformed(orig, transformed, results); err != nil {
+// verifyResults checks every applied result of orig's transformation
+// under opts. Safe on cached (shared, read-only) results: verification
+// only reads them, and proves each (program, options) pair once across
+// the (machine, compiler) cells that share its transform.
+func verifyResults(orig, transformed *source.Program, results []*core.Result, opts core.Options) error {
+	if err := analysis.VerifyTransformed(orig, transformed, results, opts); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
 	return nil

@@ -178,24 +178,23 @@ type ExplainResponse struct {
 	Loops       []LoopReport     `json:"loops"`
 }
 
-// handleExplain lints the program: transforms every innermost loop,
-// verifies each application (static checker + differential harness),
-// and reports why each loop was accepted or rejected.
+// handleExplain lints the program: transforms every innermost loop once
+// through the pipeline cache, verifies each application (static checker
+// + differential harness), and reports why each loop was accepted or
+// rejected.
 func (s *Server) handleExplain(ctx context.Context, req *Request) (any, *apiError) {
 	prog, err := source.Parse(req.Source)
 	if err != nil {
 		return nil, errSourceInvalid(err)
 	}
-	report, err := analysis.LintProgram("request", prog, analysis.LintOptions{Core: req.coreOptions()})
+	opts := req.coreOptions()
+	out, results, err := core.TransformProgramCachedSpan(obs.SpanFrom(ctx), prog, opts)
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
 	}
+	report := analysis.LintTransformed("request", prog, out, results, analysis.LintOptions{Core: opts})
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, ctxError(ctx, cerr)
-	}
-	_, results, err := core.TransformProgramCachedSpan(obs.SpanFrom(ctx), prog, req.coreOptions())
-	if err != nil {
-		return nil, classifyPipelineErr(ctx, err)
 	}
 	diags := report.Diags
 	if diags == nil {

@@ -182,6 +182,32 @@ for (i = 0; i < 64; i++) {
 	}
 }
 
+// TestExplainRequestCorrelation: a fresh explain transforms its program
+// once, under the request span, so every SLMS2xx decision record it
+// files carries the request's ID — one record per loop, none filed
+// outside the request.
+func TestExplainRequestCorrelation(t *testing.T) {
+	resetMemo(t)
+	tr := obs.NewTracer()
+	obs.Enable(tr)
+	defer obs.Disable()
+	_, ts := newTestServer(t, Config{})
+
+	resp, _ := postTraced(t, ts.URL+"/v1/explain", jsonBody(explainLoopSource, ""), corrTraceparent)
+	if resp.StatusCode != 200 {
+		t.Fatalf("explain = %d, want 200", resp.StatusCode)
+	}
+	decs := tr.Decisions()
+	if len(decs) != 1 {
+		t.Errorf("a fresh explain of one loop filed %d decision records, want 1: %+v", len(decs), decs)
+	}
+	for _, d := range decs {
+		if !strings.HasPrefix(d.Code, "SLMS2") || d.RequestID != corrTraceID {
+			t.Errorf("decision %s stamped %q, want an SLMS2xx record stamped %q", d.Code, d.RequestID, corrTraceID)
+		}
+	}
+}
+
 // findAccessLine returns the first access-log line containing marker.
 func findAccessLine(t *testing.T, log, marker string) string {
 	t.Helper()
