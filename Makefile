@@ -20,6 +20,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/memo/
 	$(GO) test -race -count=10 -run TestConcurrentExplainsVerifyOnce ./internal/server/
+	$(GO) test -race -count=10 -run TestCompilesNeverWriteTheSharedLoweredFunction ./internal/pipeline/
 
 vet:
 	$(GO) vet ./...

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"slms/internal/dep"
@@ -180,7 +181,9 @@ func TestListScheduleRespectsDepsAndResources(t *testing.T) {
 	`)
 	s := ListSchedule(body, d, true, 0)
 	// Dependences: every RAW pair must be separated by the latency.
-	edges := blockDeps(body.Instrs, d, true)
+	sc := getScratch(body.Instrs)
+	edges := sc.blockDeps(body.Instrs, d, true)
+	defer sc.release(body.Instrs)
 	for _, e := range edges {
 		if s.CycleOf[e.to] < s.CycleOf[e.from]+e.lat {
 			t.Errorf("schedule violates edge %d->%d (lat %d): %d vs %d",
@@ -321,5 +324,36 @@ func TestMemConflictWeakVsStrong(t *testing.T) {
 	c := &ir.Instr{Op: ir.Load, Arr: "B"}
 	if memConflict(a, c, false) {
 		t.Error("distinct arrays never alias")
+	}
+}
+
+// Registers are numbered function-wide, so a small block of a large
+// program mentions high register numbers. Scheduling it must cost what
+// the block holds: once the pooled scratch is warm, the schedulers
+// allocate only the BlockSched and its CycleOf they return.
+func TestBlockSchedulingCostIgnoresRegisterNumbers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
+	d := machine.IA64Like()
+	b := &ir.Block{Instrs: []*ir.Instr{
+		{Op: ir.Load, Type: source.TFloat, Dst: 5000, Args: []ir.Val{ir.R(4998)}, Arr: "A"},
+		{Op: ir.Add, Type: source.TFloat, Dst: 5001, Args: []ir.Val{ir.R(5000), ir.R(4999)}},
+		{Op: ir.Store, Type: source.TFloat, Dst: -1, Args: []ir.Val{ir.R(4998), ir.R(5001)}, Arr: "A"},
+	}}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	for _, c := range []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"SequentialSchedule", 2, func() { SequentialSchedule(b, d) }},
+		{"ListSchedule", 2, func() { ListSchedule(b, d, true, 0) }},
+		{"ListSchedule/window", 2, func() { ListSchedule(b, d, false, 2) }},
+		{"ListCycles", 1, func() { ListCycles(b, d, true, 0) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.run); got > c.want {
+			t.Errorf("%s allocates %.0f objects per call, want %.0f", c.name, got, c.want)
+		}
 	}
 }

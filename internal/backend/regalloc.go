@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"maps"
 	"sort"
 
 	"slms/internal/ir"
@@ -23,29 +24,72 @@ type AllocResult struct {
 	MaxLiveFloat int
 }
 
+// Liveness is the machine-independent input of register allocation:
+// each register class's live intervals in start order and its pressure
+// peak. It depends only on the lowered function, so a function compiled
+// for several machines needs it once.
+type Liveness struct {
+	classes [2]classLiveness // integer, float
+}
+
+// classLiveness is one register class's share of a Liveness.
+type classLiveness struct {
+	ivs     []interval // sorted by start
+	maxLive int        // true pressure (no eviction), for reporting
+}
+
+// NewLiveness computes the liveness of f, which it only reads.
+func NewLiveness(f *ir.Func) *Liveness {
+	lv := &Liveness{}
+	for _, iv := range liveIntervals(f) {
+		c := &lv.classes[0]
+		if f.RegTypes[iv.reg] == source.TFloat {
+			c = &lv.classes[1]
+		}
+		c.ivs = append(c.ivs, iv)
+	}
+	for i := range lv.classes {
+		c := &lv.classes[i]
+		sort.Slice(c.ivs, func(a, b int) bool { return c.ivs[a].start < c.ivs[b].start })
+		var active []interval
+		for _, iv := range c.ivs {
+			keep := active[:0]
+			for _, a := range active {
+				if a.end >= iv.start {
+					keep = append(keep, a)
+				}
+			}
+			active = append(keep, iv)
+			c.maxLive = max(c.maxLive, len(active))
+		}
+	}
+	return lv
+}
+
 // Allocate performs linear-scan register allocation for the machine's
 // register-file sizes and rewrites the function with spill code for the
 // intervals that do not fit. Virtual register names are kept (the
 // simulator has no physical file); what matters for timing and energy is
 // the inserted spill traffic. It returns statistics about the spills.
 func Allocate(f *ir.Func, d *machine.Desc) *AllocResult {
-	res := &AllocResult{}
-	intervals := liveIntervals(f)
+	return AllocateWith(f, NewLiveness(f), d)
+}
 
-	isFloat := func(r int) bool { return f.RegTypes[r] == source.TFloat }
-
-	// Pressure statistics and linear scan per class.
+// AllocateWith is Allocate given the liveness of f: it runs only the
+// machine's linear scan and the spill rewrite. It writes f's block
+// headers, register tables and array map but never an instruction or
+// operand slice: an instruction whose operands it rewrites is copied
+// first, so f may share its instructions with other functions.
+func AllocateWith(f *ir.Func, lv *Liveness, d *machine.Desc) *AllocResult {
+	res := &AllocResult{
+		MaxLiveInt:   lv.classes[0].maxLive,
+		MaxLiveFloat: lv.classes[1].maxLive,
+	}
+	// Linear scan per class.
 	spilled := map[int]bool{}
-	for _, class := range []bool{false, true} {
-		var ivs []interval
-		for _, iv := range intervals {
-			if isFloat(iv.reg) == class {
-				ivs = append(ivs, iv)
-			}
-		}
-		sort.Slice(ivs, func(a, b int) bool { return ivs[a].start < ivs[b].start })
+	for c, cl := range lv.classes {
 		limit := d.IntRegs
-		if class {
+		if c == 1 {
 			limit = d.FPRegs
 		}
 		// Reserve two scratch registers per class for spill reloads.
@@ -53,25 +97,8 @@ func Allocate(f *ir.Func, d *machine.Desc) *AllocResult {
 		if limit < 1 {
 			limit = 1
 		}
-		// True pressure (no eviction), for reporting.
-		maxLive := 0
-		{
-			var active []interval
-			for _, iv := range ivs {
-				keep := active[:0]
-				for _, a := range active {
-					if a.end >= iv.start {
-						keep = append(keep, a)
-					}
-				}
-				active = append(keep, iv)
-				if len(active) > maxLive {
-					maxLive = len(active)
-				}
-			}
-		}
 		var active []interval
-		for _, iv := range ivs {
+		for _, iv := range cl.ivs {
 			keep := active[:0]
 			for _, a := range active {
 				if a.end >= iv.start {
@@ -94,11 +121,6 @@ func Allocate(f *ir.Func, d *machine.Desc) *AllocResult {
 				active = append(active[:worst], active[worst+1:]...)
 			}
 		}
-		if class {
-			res.MaxLiveFloat = maxLive
-		} else {
-			res.MaxLiveInt = maxLive
-		}
 	}
 	if len(spilled) == 0 {
 		return res
@@ -119,7 +141,10 @@ func Allocate(f *ir.Func, d *machine.Desc) *AllocResult {
 		slot[r] = len(slot)
 	}
 	if f.Arrays[SpillArray] == nil {
-		f.Arrays[SpillArray] = &ir.ArrayInfo{Type: source.TFloat, StaticLen: len(slot)}
+		arrays := make(map[string]*ir.ArrayInfo, len(f.Arrays)+1)
+		maps.Copy(arrays, f.Arrays)
+		arrays[SpillArray] = &ir.ArrayInfo{Type: source.TFloat, StaticLen: len(slot)}
+		f.Arrays = arrays
 	}
 
 	// Rewrite: reload before uses, store after defs.
@@ -127,6 +152,7 @@ func Allocate(f *ir.Func, d *machine.Desc) *AllocResult {
 		var out []*ir.Instr
 		for _, in := range b.Instrs {
 			reloads := map[int]int{}
+			copied := false
 			for ai, a := range in.Args {
 				if a.Kind != ir.KReg || !spilled[a.Reg] {
 					continue
@@ -141,6 +167,11 @@ func Allocate(f *ir.Func, d *machine.Desc) *AllocResult {
 						Arr:  SpillArray,
 					})
 					res.SpillLoads++
+				}
+				if !copied {
+					cp := *in
+					cp.Args = append([]ir.Val(nil), in.Args...)
+					in, copied = &cp, true
 				}
 				in.Args[ai] = ir.R(tmp)
 			}

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"slices"
 	"sync"
 
 	"slms/internal/dep"
@@ -30,59 +31,121 @@ type depEdge struct {
 	lat      int
 }
 
-// edgePool recycles dependence-edge buffers: blocks with many memory
-// ops produce O(n²) edges, and rebuilding the DAG for every block of
-// every compilation dominated allocation volume.
-var edgePool = sync.Pool{New: func() any { return new([]depEdge) }}
+// scratch is the block schedulers' working memory. Virtual registers are
+// numbered function-wide, so a two-instruction block of a large program
+// can mention register 1,400; per-register state is therefore indexed by
+// register, grown on demand and kept clean between blocks by resetting
+// only the registers a block mentions. A block then costs O(its
+// instructions + edges), not O(its highest register). Buffers are pooled
+// process-wide: blocks with many memory ops produce O(n²) edges, and a
+// scratch per compilation would regrow them for every compile.
+type scratch struct {
+	// Per register. Outside a call every entry holds the value in
+	// parentheses: getScratch grows the arrays with it, and release
+	// restores it at the registers the block mentions.
+	lastDef  []int // blockDeps: the defining instruction (-1)
+	useHead  []int // blockDeps: newest use node since that def (-1)
+	regReady []int // SequentialSchedule: cycle the value is ready (0)
+	defCycle []int // carriedStall: issue cycle of the last def (-1)
+	defLat   []int // carriedStall: that def's latency (0)
 
-// blockDeps builds the intra-block scheduling DAG. useTags enables
+	// The uses since each register's last def, as one flat linked list:
+	// node k is a use by instruction useInstr[k], followed by useNext[k].
+	useInstr, useNext []int
+	uses              []int // an instruction's registers read
+	mems              []int // the block's memory ops so far
+	edges             []depEdge
+
+	// ListSchedule, per instruction. succs holds the edges bucketed by
+	// source: instruction i's are succs[succOff[i]:succOff[i+1]].
+	succOff, cursor          []int
+	succs                    []depEdge
+	height, readyAt, pending []int
+	scheduled                []bool
+	ready, rest              []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes a scratch from the pool with its per-register arrays
+// covering every register ins mentions.
+func getScratch(ins []*ir.Instr) *scratch {
+	s := scratchPool.Get().(*scratch)
+	for n := maxRegOf(ins) + 1; len(s.lastDef) < n; {
+		s.lastDef = append(s.lastDef, -1)
+		s.useHead = append(s.useHead, -1)
+		s.regReady = append(s.regReady, 0)
+		s.defCycle = append(s.defCycle, -1)
+		s.defLat = append(s.defLat, 0)
+	}
+	return s
+}
+
+// release resets the per-register state of every register ins mentions
+// and returns s to the pool.
+func (s *scratch) release(ins []*ir.Instr) {
+	reset := func(r int) {
+		s.lastDef[r], s.useHead[r], s.regReady[r], s.defCycle[r], s.defLat[r] = -1, -1, 0, -1, 0
+	}
+	for _, in := range ins {
+		if in.Dst >= 0 {
+			reset(in.Dst)
+		}
+		for _, a := range in.Args {
+			if a.Kind == ir.KReg {
+				reset(a.Reg)
+			}
+		}
+	}
+	scratchPool.Put(s)
+}
+
+// zeroed returns buf resized to n zero entries, reusing its storage.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// blockDeps builds the intra-block scheduling DAG into s.edges, which it
+// returns; the edges stay valid until s is next used. useTags enables
 // affine memory disambiguation (the strong-compiler front end forwards
 // subscript analysis to the back end); without it any two accesses to
-// the same array conflict. The returned slice draws from edgePool; the
-// caller releases it with putEdges when done.
-func blockDeps(ins []*ir.Instr, d *machine.Desc, useTags bool) []depEdge {
-	// Register state is indexed by register number (registers are
-	// physical here, so the range is small and dense) — maps on this
-	// path dominated compile time.
-	maxReg := maxRegOf(ins)
-	edges := (*edgePool.Get().(*[]depEdge))[:0]
-	lastDef := make([]int, maxReg+1)    // reg -> instr index (-1 = none)
-	lastUses := make([][]int, maxReg+1) // reg -> instr indexes since last def
-	for i := range lastDef {
-		lastDef[i] = -1
-	}
-
-	addMem := func(i, j int, lat int) { edges = append(edges, depEdge{i, j, lat}) }
-
-	var useBuf []int
+// the same array conflict.
+func (s *scratch) blockDeps(ins []*ir.Instr, d *machine.Desc, useTags bool) []depEdge {
+	edges, mems := s.edges[:0], s.mems[:0]
+	useInstr, useNext := s.useInstr[:0], s.useNext[:0]
 	for j, in := range ins {
 		// Register dependences.
-		useBuf = in.AppendUses(useBuf[:0])
-		for _, r := range useBuf {
-			if i := lastDef[r]; i >= 0 {
+		s.uses = in.AppendUses(s.uses[:0])
+		for _, r := range s.uses {
+			if i := s.lastDef[r]; i >= 0 {
 				edges = append(edges, depEdge{i, j, d.Latency(ins[i])}) // RAW
 			}
-			lastUses[r] = append(lastUses[r], j)
+			useInstr = append(useInstr, j)
+			useNext = append(useNext, s.useHead[r])
+			s.useHead[r] = len(useInstr) - 1
 		}
-		if in.Dst >= 0 {
-			if i := lastDef[in.Dst]; i >= 0 {
+		if r := in.Dst; r >= 0 {
+			if i := s.lastDef[r]; i >= 0 {
 				edges = append(edges, depEdge{i, j, 1}) // WAW
 			}
-			for _, u := range lastUses[in.Dst] {
-				if u != j {
+			for k := s.useHead[r]; k >= 0; k = useNext[k] {
+				if u := useInstr[k]; u != j {
 					edges = append(edges, depEdge{u, j, 0}) // WAR
 				}
 			}
-			lastDef[in.Dst] = j
-			lastUses[in.Dst] = lastUses[in.Dst][:0]
+			s.lastDef[r] = j
+			s.useHead[r] = -1
 		}
 		// Memory dependences.
 		if in.Op.IsMem() {
-			for i := j - 1; i >= 0; i-- {
+			for k := len(mems) - 1; k >= 0; k-- {
+				i := mems[k]
 				p := ins[i]
-				if !p.Op.IsMem() {
-					continue
-				}
 				if p.Op == ir.Load && in.Op == ir.Load {
 					continue
 				}
@@ -93,8 +156,9 @@ func blockDeps(ins []*ir.Instr, d *machine.Desc, useTags bool) []depEdge {
 				if p.Op == ir.Store {
 					lat = d.Lat.Store // store→load/store ordering
 				}
-				addMem(i, j, lat)
+				edges = append(edges, depEdge{i, j, lat})
 			}
+			mems = append(mems, j)
 		}
 		// Everything stays before the terminating branch.
 		if in.Op.IsBranch() {
@@ -103,12 +167,8 @@ func blockDeps(ins []*ir.Instr, d *machine.Desc, useTags bool) []depEdge {
 			}
 		}
 	}
+	s.edges, s.mems, s.useInstr, s.useNext = edges, mems, useInstr, useNext
 	return edges
-}
-
-// putEdges returns a blockDeps result to the pool.
-func putEdges(edges []depEdge) {
-	edgePool.Put(&edges)
 }
 
 // memConflict decides whether two memory ops to possibly-equal addresses
@@ -149,57 +209,76 @@ func ListSchedule(b *ir.Block, d *machine.Desc, useTags bool, window int) *Block
 		s.Len, s.SteadyLen = 1, 1
 		return s
 	}
-	edges := blockDeps(ins, d, useTags)
-	// Bucket edges by source into one backing array (counting sort keeps
-	// per-source edge order identical to repeated appends).
-	succs := make([][]depEdge, n)
-	npreds := make([]int, n)
-	outdeg := make([]int, n)
-	for _, e := range edges {
-		outdeg[e.from]++
-		npreds[e.to]++
+	sc := getScratch(ins)
+	s.Bundles = sc.list(ins, d, useTags, window, s.CycleOf)
+	s.Len = slices.Max(s.CycleOf) + d.Lat.Branch
+	s.SteadyLen = s.Len + sc.carriedStall(ins, s.CycleOf, s.Len, d)
+	sc.release(ins)
+	return s
+}
+
+// ListCycles returns the issue cycle of each instruction under
+// ListSchedule, without the block's timing: for a compiler that reorders
+// the block by these cycles and then times the new order.
+func ListCycles(b *ir.Block, d *machine.Desc, useTags bool, window int) []int {
+	cycleOf := make([]int, len(b.Instrs))
+	if len(b.Instrs) == 0 {
+		return cycleOf
 	}
-	backing := make([]depEdge, len(edges))
-	pos := 0
+	sc := getScratch(b.Instrs)
+	sc.list(b.Instrs, d, useTags, window, cycleOf)
+	sc.release(b.Instrs)
+	return cycleOf
+}
+
+// list is ListSchedule's scheduler: it fills cycleOf and returns the
+// number of non-empty issue groups.
+func (s *scratch) list(ins []*ir.Instr, d *machine.Desc, useTags bool, window int, cycleOf []int) (bundles int) {
+	n := len(ins)
+	edges := s.blockDeps(ins, d, useTags)
+	// Bucket edges by source (a counting sort).
+	off := zeroed(s.succOff, n+1)
+	pending := zeroed(s.pending, n)
+	for _, e := range edges {
+		off[e.from+1]++
+		pending[e.to]++
+	}
 	for i := 0; i < n; i++ {
-		succs[i] = backing[pos : pos : pos+outdeg[i]]
-		pos += outdeg[i]
+		off[i+1] += off[i]
 	}
+	cursor := append(s.cursor[:0], off[:n]...)
+	succs := zeroed(s.succs, len(edges))
 	for _, e := range edges {
-		succs[e.from] = append(succs[e.from], e)
+		succs[cursor[e.from]] = e
+		cursor[e.from]++
 	}
-	putEdges(edges) // bucketed copies in backing are the live view now
 	// Heights: longest latency path to any sink.
-	height := make([]int, n)
+	height := zeroed(s.height, n)
 	for i := n - 1; i >= 0; i-- {
 		h := 0
-		for _, e := range succs[i] {
+		for _, e := range succs[off[i]:off[i+1]] {
 			if v := height[e.to] + e.lat; v > h {
 				h = v
 			}
 		}
 		height[i] = h
 	}
-	ready := make([]int, 0, n)
-	readyAt := make([]int, n)
-	pending := make([]int, n)
-	copy(pending, npreds)
+	readyAt := zeroed(s.readyAt, n)
+	scheduled := zeroed(s.scheduled, n)
+	ready, rest := s.ready[:0], s.rest[:0]
 	for i := 0; i < n; i++ {
 		if pending[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	isScheduled := make([]bool, n)
-	rest := make([]int, 0, n)
-	scheduled := 0
-	cycle := 0
-	for scheduled < n {
+	first := 0 // the earliest unscheduled instruction
+	done := 0
+	for cycle := 0; done < n; cycle++ {
 		// The weak-compiler window: only instructions close (in program
 		// order) to the earliest unscheduled one are candidates.
 		horizon := n
 		if window > 0 {
-			first := 0
-			for first < n && isScheduled[first] {
+			for first < n && scheduled[first] {
 				first++
 			}
 			horizon = first + window
@@ -207,7 +286,8 @@ func ListSchedule(b *ir.Block, d *machine.Desc, useTags bool, window int) *Block
 		// Candidates ready this cycle, by height then source order.
 		// Insertion sort: the list is small and mostly ordered from the
 		// previous cycle, and (height desc, index asc) is a total order,
-		// so this yields exactly the comparison sort's result.
+		// so this yields exactly the comparison sort's result whatever
+		// order the edges put the list in.
 		for a := 1; a < len(ready); a++ {
 			x := ready[a]
 			b := a - 1
@@ -227,12 +307,12 @@ func ListSchedule(b *ir.Block, d *machine.Desc, useTags bool, window int) *Block
 				rest = append(rest, i)
 				continue
 			}
-			s.CycleOf[i] = cycle
-			isScheduled[i] = true
+			cycleOf[i] = cycle
+			scheduled[i] = true
 			used[fu]++
 			issued++
-			scheduled++
-			for _, e := range succs[i] {
+			done++
+			for _, e := range succs[off[i]:off[i+1]] {
 				pending[e.to]--
 				if t := cycle + e.lat; t > readyAt[e.to] {
 					readyAt[e.to] = t
@@ -244,19 +324,12 @@ func ListSchedule(b *ir.Block, d *machine.Desc, useTags bool, window int) *Block
 		}
 		ready, rest = rest, ready
 		if issued > 0 {
-			s.Bundles++
-		}
-		cycle++
-	}
-	last := 0
-	for i := 0; i < n; i++ {
-		if s.CycleOf[i] > last {
-			last = s.CycleOf[i]
+			bundles++
 		}
 	}
-	s.Len = last + d.Lat.Branch
-	s.SteadyLen = s.Len + carriedStall(ins, s.CycleOf, s.Len, d, useTags)
-	return s
+	s.succOff, s.cursor, s.succs, s.pending = off, cursor, succs, pending
+	s.height, s.readyAt, s.scheduled, s.ready, s.rest = height, readyAt, scheduled, ready, rest
+	return bundles
 }
 
 // SequentialSchedule models a compiler that performs no reordering (the
@@ -270,15 +343,15 @@ func SequentialSchedule(b *ir.Block, d *machine.Desc) *BlockSched {
 		s.Len, s.SteadyLen = 1, 1
 		return s
 	}
-	regReady := make([]int, maxRegOf(ins)+1)
+	sc := getScratch(ins)
+	regReady := sc.regReady
 	memReady := 0
 	cycle, issued := 0, 0
 	var used [4]int
-	var useBuf []int
 	for i, in := range ins {
 		earliest := cycle
-		useBuf = in.AppendUses(useBuf[:0])
-		for _, r := range useBuf {
+		sc.uses = in.AppendUses(sc.uses[:0])
+		for _, r := range sc.uses {
 			if t := regReady[r]; t > earliest {
 				earliest = t
 			}
@@ -306,38 +379,31 @@ func SequentialSchedule(b *ir.Block, d *machine.Desc) *BlockSched {
 		}
 	}
 	s.Len = s.CycleOf[n-1] + d.Lat.Branch
-	s.SteadyLen = s.Len + carriedStall(ins, s.CycleOf, s.Len, d, true)
+	s.SteadyLen = s.Len + sc.carriedStall(ins, s.CycleOf, s.Len, d)
+	sc.release(ins)
 	return s
 }
 
 // carriedStall computes the extra stall a back-to-back re-execution of
 // the block suffers from loop-carried register dependences: a value
 // produced late in iteration i and consumed early in iteration i+1.
-func carriedStall(ins []*ir.Instr, cycleOf []int, length int, d *machine.Desc, useTags bool) int {
-	nr := maxRegOf(ins) + 1
-	defCycle := make([]int, nr)
-	defLat := make([]int, nr)
-	hasDef := make([]bool, nr)
+func (s *scratch) carriedStall(ins []*ir.Instr, cycleOf []int, length int, d *machine.Desc) int {
 	for i, in := range ins {
-		if in.Dst >= 0 {
-			if c := cycleOf[i]; !hasDef[in.Dst] || c >= defCycle[in.Dst] {
-				defCycle[in.Dst] = c
-				defLat[in.Dst] = d.Latency(in)
-				hasDef[in.Dst] = true
-			}
+		if r := in.Dst; r >= 0 && cycleOf[i] >= s.defCycle[r] {
+			s.defCycle[r] = cycleOf[i]
+			s.defLat[r] = d.Latency(in)
 		}
 	}
 	stall := 0
-	var useBuf []int
 	for i, in := range ins {
-		useBuf = in.AppendUses(useBuf[:0])
-		for _, r := range useBuf {
-			if !hasDef[r] {
-				continue
+		s.uses = in.AppendUses(s.uses[:0])
+		for _, r := range s.uses {
+			if s.defCycle[r] < 0 {
+				continue // no def in the block
 			}
 			// Next-iteration use at length+cycleOf[i] needs def+lat.
-			if s := defCycle[r] + defLat[r] - (length + cycleOf[i]); s > stall {
-				stall = s
+			if st := s.defCycle[r] + s.defLat[r] - (length + cycleOf[i]); st > stall {
+				stall = st
 			}
 		}
 	}
@@ -345,7 +411,7 @@ func carriedStall(ins []*ir.Instr, cycleOf []int, length int, d *machine.Desc, u
 }
 
 // maxRegOf returns the highest register number a block mentions (-1 if
-// none) so per-register state can live in dense slices.
+// none).
 func maxRegOf(ins []*ir.Instr) int {
 	maxReg := -1
 	for _, in := range ins {

@@ -20,6 +20,10 @@ func KernelsExtended() []Kernel {
 }
 
 func livermoreExtended() []Kernel {
+	// Built outside Setup, so every run of a kernel shares one seeder
+	// and with it the inputs it generated.
+	seed13 := seedArrays(map[string][]int{"y": {130}, "z": {130}, "h": {130}}, 113)
+	seed14 := seedArrays(map[string][]int{"vx": {150}, "xx": {150}, "grd": {150}}, 114)
 	return []Kernel{
 		{
 			Name: "kernel6", Suite: "livermore-ext", FloatHeavy: true,
@@ -54,7 +58,7 @@ func livermoreExtended() []Kernel {
 				}
 			`,
 			Setup: func(env *interp.Env) {
-				seedArrays(map[string][]int{"y": {130}, "z": {130}, "h": {130}}, 113)(env)
+				seed13(env)
 				idx := make([]int64, 70)
 				for i := range idx {
 					idx[i] = int64((i * 7) % 64)
@@ -76,7 +80,7 @@ func livermoreExtended() []Kernel {
 				}
 			`,
 			Setup: func(env *interp.Env) {
-				seedArrays(map[string][]int{"vx": {150}, "xx": {150}, "grd": {150}}, 114)(env)
+				seed14(env)
 				idx := make([]int64, 70)
 				for i := range idx {
 					idx[i] = int64((i*11 + 3) % 128)
@@ -153,9 +157,7 @@ func livermoreExtended() []Kernel {
 					}
 				}
 			`,
-			Setup: func(env *interp.Env) {
-				seedArrays(map[string][]int{"y2": {100}, "u2": {100}, "v2": {100}, "x2": {100}}, 122)(env)
-			},
+			Setup: seedArrays(map[string][]int{"y2": {100}, "u2": {100}, "v2": {100}, "x2": {100}}, 122),
 		},
 		{
 			Name: "kernel23", Suite: "livermore-ext", FloatHeavy: true,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"slms/internal/ir"
 	"slms/internal/machine"
 	"slms/internal/memo"
 	"slms/internal/obs"
@@ -17,7 +16,8 @@ import (
 // MVE / scalar-expansion variants of one measurement — so compilation
 // is two stages of the pipeline cache (package memo): lower, keyed by
 // the program, and compile, keyed by the program and an interned
-// compileConfig.
+// compileConfig. Every back-end run of a program reads the lower
+// stage's one function through its own header and never writes it.
 // sim.Run treats an artifact as immutable (see package sim), so one
 // shared artifact may be simulated from any number of goroutines.
 
@@ -75,17 +75,24 @@ func compileForCachedCtxSpan(ctx context.Context, sp *obs.Span, p *source.Progra
 	k := memo.Key{Stage: memo.Compile, Hash: fp, Config: internConfig(d, cc)}
 	art, err := memo.Get(sp, k, n, func() (*Artifact, error) {
 		// A miss still shares the machine-independent front half across
-		// all (machine, compiler) pairs of this program: lower once,
-		// clone per back-end run (the back end mutates the function).
-		lk := memo.Key{Stage: memo.Lower, Hash: fp}
-		f, err := memo.Get(nil, lk, n, func() (*ir.Func, error) { return lower(p) })
+		// all (machine, compiler) pairs of this program: lower once, then
+		// run each back end on its own header over the shared function.
+		lw, err := lowerCached(p)
 		if err != nil {
 			return nil, err
 		}
-		return scheduleForCtx(context.Background(), f.Clone(), d, cc)
+		return scheduleForCtx(context.Background(), header(lw.f), lw.live, d, cc)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: compile aborted: %w", err)
 	}
 	return art, err
+}
+
+// lowerCached is lower behind the lower stage of the pipeline cache. The
+// value is shared by every back-end run of the program and is never
+// written.
+func lowerCached(p *source.Program) (*lowered, error) {
+	k := memo.Key{Stage: memo.Lower, Hash: source.Fingerprint(p)}
+	return memo.Get(nil, k, source.PrintedLen(p), func() (*lowered, error) { return lower(p) })
 }

@@ -142,39 +142,66 @@ func CompileFor(p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, err
 // across requests, and one canceled request must never poison the entry
 // every later request reuses.
 func CompileForCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
-	f, err := lower(p)
+	lw, err := lower(p)
 	if err != nil {
 		return nil, err
 	}
-	return scheduleForCtx(ctx, f, d, cc)
+	return scheduleForCtx(ctx, lw.f, lw.live, d, cc)
 }
 
-// lower runs the machine-independent front half of the compilation:
-// lowering to the virtual ISA plus local CSE. The result feeds
-// scheduleForCtx, which mutates it.
-func lower(p *source.Program) (*ir.Func, error) {
+// lowered is the machine-independent front half of a compilation: the
+// program lowered to the virtual ISA plus local CSE, and the liveness
+// register allocation starts from. The lower stage of the pipeline cache
+// shares one across every (machine, compiler) pair of the program, so
+// nothing writes it after lower returns (see header).
+type lowered struct {
+	f    *ir.Func
+	live *backend.Liveness
+}
+
+// lower runs the machine-independent front half of the compilation.
+func lower(p *source.Program) (*lowered, error) {
 	f, err := backend.Compile(p)
 	if err != nil {
 		return nil, err
 	}
 	backend.LocalCSE(f)
-	return f, nil
+	return &lowered{f: f, live: backend.NewLiveness(f)}, nil
+}
+
+// header returns a function that shares f's instructions, register
+// tables and array map but owns its block list and block headers, so the
+// back end can reorder and extend it without writing f: register
+// allocation copies an instruction before rewriting its operands and the
+// array map before adding the spill area, NewReg appends to a copy of
+// the capped register types, and applyOrder builds a new instruction
+// slice.
+func header(f *ir.Func) *ir.Func {
+	h := *f
+	h.RegTypes = f.RegTypes[:len(f.RegTypes):len(f.RegTypes)]
+	h.Blocks = make([]*ir.Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		nb := *b
+		h.Blocks[i] = &nb
+	}
+	return &h
 }
 
 // scheduleForCtx runs the machine-dependent back half: register
 // allocation, block scheduling and (for strong static compilers) IMS.
-// It mutates f — pass a Clone when the lowered function is shared.
-// Without a deadline the only failure mode is an invalid scheduler
-// configuration. ctx is checked before each block's (potentially
-// IMS-bearing) scheduling round. Blocks are scheduled in order, and each
-// fills its plan slot, its loop-map entries and its loop head's mark as
-// it goes.
-func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compiler) (*Artifact, error) {
+// It writes f's block headers, register tables and array map but no
+// instruction, so f may be a header over a shared lowered function; live
+// is f's liveness. Without a deadline the only failure mode is an invalid
+// scheduler configuration. ctx is checked before each block's
+// (potentially IMS-bearing) scheduling round. Blocks are scheduled in
+// order, and each fills its plan slot, its loop-map entries and its loop
+// head's mark as it goes.
+func scheduleForCtx(ctx context.Context, f *ir.Func, live *backend.Liveness, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	imsCfg, err := ims.EffortConfig(cc.Scheduler, cc.Effort)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	alloc := backend.Allocate(f, d)
+	alloc := backend.AllocateWith(f, live, d)
 	art := &Artifact{
 		Func: f, Alloc: alloc,
 		IMSResults: map[int]*ims.Result{},
@@ -188,16 +215,12 @@ func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compile
 			return nil, fmt.Errorf("pipeline: compile aborted: %w", err)
 		}
 		// Reordering compilers physically reorder the instructions so the
-		// in-order hardware of superscalar machines benefits too.
-		var sched *backend.BlockSched
+		// in-order hardware of superscalar machines benefits too; the
+		// block is then timed in its new physical order.
 		if cc.Reorder {
-			sched = backend.ListSchedule(b, d, cc.Tags, cc.Window)
-			applyOrder(b, sched)
-			// Recompute cycle numbers against the new physical order.
-			sched = backend.SequentialSchedule(b, d)
-		} else {
-			sched = backend.SequentialSchedule(b, d)
+			applyOrder(b, backend.ListCycles(b, d, cc.Tags, cc.Window))
 		}
+		sched := backend.SequentialSchedule(b, d)
 		if d.Policy == machine.Static {
 			plan.Blocks[b.ID].Sched = sched
 		}
@@ -227,15 +250,16 @@ func scheduleForCtx(ctx context.Context, f *ir.Func, d *machine.Desc, cc Compile
 }
 
 // applyOrder permutes a block's instructions into schedule order
-// (stable by cycle, then original index), keeping the branch last.
-func applyOrder(b *ir.Block, s *backend.BlockSched) {
+// (stable by issue cycle, then original index), keeping the branch last.
+// It replaces b.Instrs with a new slice and leaves the old one as it was.
+func applyOrder(b *ir.Block, cycleOf []int) {
 	type slot struct {
 		cycle, idx int
 	}
 	n := len(b.Instrs)
 	slots := make([]slot, n)
 	for i := range b.Instrs {
-		slots[i] = slot{s.CycleOf[i], i}
+		slots[i] = slot{cycleOf[i], i}
 	}
 	// insertion sort (n is small, stability required)
 	for i := 1; i < n; i++ {
