@@ -191,8 +191,8 @@ func Decisions() []Decision {
 }
 
 // MetricsText renders the process-wide metrics registry (counters,
-// gauges, phase histograms) as a sorted plain-text dump. The same
-// snapshot is published through expvar under the "slms" key.
+// gauges, phase histograms) as a sorted plain-text dump. slmsd serves
+// the same registry in the Prometheus text format at /metrics.
 func MetricsText() string { return obs.MetricsText() }
 
 // Profiling: cycle attribution inside the simulator. While enabled,

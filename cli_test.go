@@ -151,6 +151,19 @@ func TestCLISlmsexplain(t *testing.T) {
 	if !strings.Contains(dot, "digraph ddg") {
 		t.Errorf("dot output missing:\n%s", dot)
 	}
+	// A loop under an if: the guard bounds m, which proves the
+	// distances, so the compiler pipelines it and the explanation must
+	// say so rather than re-analyzing the loop without its guard.
+	guarded, _ := runTool(t, bin, `int m; float A[512]; float B[512];
+if (m >= 200) {
+  for (i = 0; i < 100; i++) {
+    A[i+m] = A[i] * 0.7 + B[i];
+  }
+}
+`, "-")
+	if !strings.Contains(guarded, "SLMS applied: II=1") || strings.Contains(guarded, "SLMS230") {
+		t.Errorf("guarded loop not explained as the compiler pipelines it (II=1, no SLMS230):\n%s", guarded)
+	}
 }
 
 func TestCLISlmssim(t *testing.T) {

@@ -32,8 +32,6 @@ import (
 
 	"slms/internal/core"
 	"slms/internal/ddg"
-	"slms/internal/dep"
-	"slms/internal/dep/omega"
 	"slms/internal/mii"
 	"slms/internal/obs"
 	"slms/internal/sem"
@@ -64,39 +62,19 @@ func main() {
 	if err != nil {
 		obs.Fatalf("%v", err)
 	}
-	info, err := sem.Check(prog)
+	sp := obs.Root("slmsexplain").Attr("file", flag.Arg(0))
+	defer sp.End()
+	// The compiler's own site walk and per-loop results: every loop is
+	// explained as the compiler decided it, under its enclosing guards.
+	_, results, err := core.TransformProgramSpan(sp, prog, core.DefaultOptions())
 	if err != nil {
 		obs.Fatalf("%v", err)
 	}
-	sp := obs.Root("slmsexplain").Attr("file", flag.Arg(0))
-	defer sp.End()
-	n := 0
-	explainStmts(sp, prog.Stmts, info.Table, &n)
-	if n == 0 {
+	if len(results) == 0 {
 		fmt.Println("no innermost canonical loops found")
 	}
-}
-
-func explainStmts(sp *obs.Span, stmts []source.Stmt, tab *sem.Table, n *int) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *source.For:
-			if hasNestedLoop(s.Body) {
-				explainStmts(sp, s.Body.Stmts, tab, n)
-				continue
-			}
-			*n++
-			explainLoop(sp, s, tab, *n)
-		case *source.Block:
-			explainStmts(sp, s.Stmts, tab, n)
-		case *source.If:
-			explainStmts(sp, s.Then.Stmts, tab, n)
-			if s.Else != nil {
-				explainStmts(sp, s.Else.Stmts, tab, n)
-			}
-		case *source.While:
-			explainStmts(sp, s.Body.Stmts, tab, n)
-		}
+	for i, r := range results {
+		explainLoop(r, i+1)
 	}
 }
 
@@ -124,19 +102,6 @@ func dotDDG(g *ddg.Graph, mis []source.Stmt) string {
 	return b.String()
 }
 
-func hasNestedLoop(b *source.Block) bool {
-	found := false
-	source.WalkStmt(b, func(s source.Stmt) bool {
-		switch s.(type) {
-		case *source.For, *source.While:
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // printDecision renders a loop's decision record: the stable code, the
 // verdict, and the measured evidence (sorted for deterministic output).
 func printDecision(d obs.Decision) {
@@ -155,7 +120,11 @@ func printDecision(d obs.Decision) {
 	}
 }
 
-func explainLoop(sp *obs.Span, f *source.For, tab *sem.Table, idx int) {
+// explainLoop prints one loop's report from its transform result: the
+// dependence analysis the transform ran (over the if-converted, renamed
+// and decomposed MIs), its DDG and MII, and the decision.
+func explainLoop(r *core.Result, idx int) {
+	f := r.Loop
 	fmt.Printf("==== loop %d ====\n", idx)
 	fmt.Println(source.PrintStmt(f))
 
@@ -167,51 +136,39 @@ func explainLoop(sp *obs.Span, f *source.For, tab *sem.Table, idx int) {
 	fmt.Printf("canonical: var=%s lo=%s hi=%s step=%d\n",
 		l.Var, source.ExprString(l.Lo), source.ExprString(l.Hi), l.Step)
 
-	an, err := dep.Analyze(f.Body.Stmts, l.Var, tab, dep.Options{
-		Step: l.Step, Lo: l.Lo, Hi: l.Hi, Ranges: omega.FromTable(tab),
-	})
-	if err != nil {
-		fmt.Printf("dependence analysis failed: %v\n\n", err)
-		return
-	}
-	fmt.Printf("MIs: %d, memory refs: %d, arithmetic ops: %d\n",
-		an.NumMIs, an.MemRefs, an.ArithOps)
-	if p := an.Precision; p.Pairs > 0 {
-		fmt.Printf("subscript pairs: %d (legacy unknown: %d, solver resolved: %d, still unknown: %d)\n",
-			p.Pairs, p.LegacyUnknown, p.Resolved, p.Unresolved)
-		for _, n := range p.Notes {
-			fmt.Printf("  sharpened: %s\n", n)
+	if an := r.Dep; an != nil {
+		fmt.Printf("MIs: %d, memory refs: %d, arithmetic ops: %d\n",
+			an.NumMIs, an.MemRefs, an.ArithOps)
+		if p := an.Precision; p.Pairs > 0 {
+			fmt.Printf("subscript pairs: %d (legacy unknown: %d, solver resolved: %d, still unknown: %d)\n",
+				p.Pairs, p.LegacyUnknown, p.Resolved, p.Unresolved)
+			for _, n := range p.Notes {
+				fmt.Printf("  sharpened: %s\n", n)
+			}
+		}
+		for i, mi := range an.MIs {
+			fmt.Printf("  MI%d: %s\n", i, source.PrintStmt(mi))
+		}
+		if len(an.Scalars) > 0 {
+			fmt.Println("scalars:")
+			for _, si := range an.Scalars {
+				fmt.Printf("  %-10s %s (defs=%v reads=%v exposed=%v)\n",
+					si.Name, si.Class, si.Defs, si.Reads, si.ExposedReads)
+			}
+		}
+		g := ddg.Build(an, true)
+		if *dotOut {
+			fmt.Print(dotDDG(g, an.MIs))
+		} else {
+			fmt.Print(g.Dump())
+		}
+		if ii, err := mii.Find(g, mii.Options{}); err != nil {
+			fmt.Printf("MII: %v\n", err)
+		} else {
+			fmt.Printf("MII = %d\n", ii)
 		}
 	}
-	for i, mi := range f.Body.Stmts {
-		fmt.Printf("  MI%d: %s\n", i, source.PrintStmt(mi))
-	}
-	if len(an.Scalars) > 0 {
-		fmt.Println("scalars:")
-		for _, si := range an.Scalars {
-			fmt.Printf("  %-10s %s (defs=%v reads=%v exposed=%v)\n",
-				si.Name, si.Class, si.Defs, si.Reads, si.ExposedReads)
-		}
-	}
-	g := ddg.Build(an, true)
-	if *dotOut {
-		fmt.Print(dotDDG(g, f.Body.Stmts))
-	} else {
-		fmt.Print(g.Dump())
-	}
 
-	ii, err := mii.Find(g, mii.Options{})
-	if err != nil {
-		fmt.Printf("MII: %v\n", err)
-	} else {
-		fmt.Printf("MII = %d\n", ii)
-	}
-
-	r, err := core.TransformSpan(sp, f, tab, core.DefaultOptions())
-	if err != nil {
-		fmt.Printf("transform error: %v\n\n", err)
-		return
-	}
 	if !r.Applied {
 		fmt.Printf("SLMS not applied: %s\n", r.Reason)
 		printDecision(r.Decision)

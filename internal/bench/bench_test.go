@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"slms/internal/core"
@@ -295,6 +296,40 @@ func TestExtendedKernel19SLC(t *testing.T) {
 	}
 	if d := interp.Compare(e1, e2, interp.CompareOpts{FloatTol: 1e-6}); len(d) > 0 {
 		t.Fatalf("mismatch: %v", d)
+	}
+}
+
+// TestSummaryHeadlines: the scoreboard reports the precision and
+// optgap figures by their headline notes, not by a geometric mean of
+// edge counts or IIs.
+func TestSummaryHeadlines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure generation is slow")
+	}
+	figs, err := AllFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"precision": "unknown edges 9 -> 0 (100% resolved)",
+		"optgap":    "33 proven optimal, 3 with a gap (max 1)",
+	}
+	for _, line := range strings.Split(summarize(figs), "\n") {
+		id, _, _ := strings.Cut(line, " ")
+		w, ok := want[id]
+		if !ok {
+			continue
+		}
+		delete(want, id)
+		if !strings.Contains(line, w) {
+			t.Errorf("summary line %q lacks the headline %q", line, w)
+		}
+		if strings.Contains(line, "loops)") {
+			t.Errorf("summary line %q reports a geometric mean", line)
+		}
+	}
+	for id := range want {
+		t.Errorf("summary has no %s line", id)
 	}
 }
 

@@ -57,6 +57,8 @@ type Result struct {
 	// unsupported shape); Reason then explains why.
 	Applied bool
 	Reason  string
+	// Loop is the loop as written; the transform never modifies it.
+	Loop *source.For
 	// Pos is the source position of the original loop, for diagnostics.
 	Pos source.Pos
 
@@ -137,7 +139,7 @@ func TransformSpan(parent *obs.Span, f *source.For, tab *sem.Table, opts Options
 // the loop site: conditions known true at loop entry refine the
 // symbolic ranges the dependence solver reasons over.
 func transformSpanGuards(parent *obs.Span, f *source.For, tab *sem.Table, opts Options, guards []source.Expr) (*Result, error) {
-	res := &Result{Mode: opts.Expansion, Unroll: 1, Pos: f.Pos()}
+	res := &Result{Mode: opts.Expansion, Unroll: 1, Loop: f, Pos: f.Pos()}
 	sp := parent.Child("loop@" + res.Pos.String())
 	defer sp.End()
 	if opts.MemRefThreshold == 0 {

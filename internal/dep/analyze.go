@@ -119,6 +119,8 @@ type Analysis struct {
 	MemRefs  int
 	ArithOps int
 	NumMIs   int
+	// MIs are the analyzed statements, in MI order.
+	MIs []source.Stmt
 	// Precision summarizes what the exact solver sharpened relative to
 	// the legacy conservative subscript test (zeroed under NoSolver).
 	Precision Precision
@@ -190,7 +192,7 @@ func Analyze(mis []source.Stmt, loopVar string, tab *sem.Table, opts Options) (*
 	if step == 0 {
 		step = 1
 	}
-	a := &Analysis{LoopVar: loopVar, Step: step, Scalars: map[string]*ScalarInfo{}, NumMIs: len(mis)}
+	a := &Analysis{LoopVar: loopVar, Step: step, Scalars: map[string]*ScalarInfo{}, NumMIs: len(mis), MIs: mis}
 	col := &collector{loopVar: loopVar, tab: tab}
 	for i, mi := range mis {
 		if err := col.stmt(mi, i, false); err != nil {

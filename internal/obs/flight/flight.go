@@ -10,7 +10,9 @@
 // has lapped them. Every slot is preallocated: recording copies into
 // fixed buffers under a short mutex and never allocates, which is what
 // lets the server's zero-allocation cached path record every hit and
-// stay 0 allocs/op.
+// stay 0 allocs/op. The record a ring takes (Obs) is slmsd's one record
+// of a request: the server fills it once per request and derives the
+// access line, the SLO window and the endpoint metrics from it too.
 //
 // A trigger engine (trigger.go) snapshots the rings plus goroutine
 // stacks, memstats, SLO window state and the metrics registry into a
@@ -93,9 +95,13 @@ type DecisionNote struct {
 	Reason  string `json:"reason,omitempty"`
 }
 
-// Obs is one finished request as the slow path observes it. The
-// recorder copies ID and body bytes out; the slices may alias pooled
-// memory that is recycled immediately after Record returns.
+// Obs is the one record of a finished request. slmsd fills one per
+// request, on its cached fast path and its full path alike, and derives
+// every per-request output from it: the ring slot, the access line, the
+// SLO window and the endpoint's metrics. DeadlineMS is the deadline
+// remaining at the finish, -1 for a request that never had one. The
+// recorder copies the ID and body bytes out; they may alias pooled
+// memory that is recycled as soon as Record returns.
 type Obs struct {
 	Status      int
 	RequestID   string
@@ -108,24 +114,6 @@ type Obs struct {
 	Truncated   bool
 	Spans       []SpanNote
 	Decisions   []DecisionNote
-}
-
-// view is the internal, stack-allocated record form shared by the fast
-// and slow paths.
-type view struct {
-	seq        int64
-	unixNS     int64
-	status     int
-	deadlineMS int64
-	durUS      int64
-	fp         string
-	cache      string
-	errCode    string
-	reqID      string
-	body       []byte
-	truncated  bool
-	spans      []SpanNote
-	decisions  []DecisionNote
 }
 
 // slot is one preallocated ring (or exemplar) entry. set copies the
@@ -148,25 +136,25 @@ type slot struct {
 	decisions  []DecisionNote
 }
 
-func (sl *slot) set(v *view) {
-	sl.seq = v.seq
-	sl.unixNS = v.unixNS
-	sl.status = v.status
-	sl.deadlineMS = v.deadlineMS
-	sl.durUS = v.durUS
-	sl.fp = v.fp
-	sl.cache = v.cache
-	sl.errCode = v.errCode
-	sl.reqID = append(sl.reqID[:0], v.reqID...)
-	body, truncated := v.body, v.truncated
+func (sl *slot) set(o *Obs, seq, unixNS int64) {
+	sl.seq = seq
+	sl.unixNS = unixNS
+	sl.status = o.Status
+	sl.deadlineMS = o.DeadlineMS
+	sl.durUS = o.Dur.Microseconds()
+	sl.fp = o.Fingerprint
+	sl.cache = o.Cache
+	sl.errCode = o.ErrCode
+	sl.reqID = append(sl.reqID[:0], o.RequestID...)
+	body, truncated := o.Body, o.Truncated
 	if len(body) > cap(sl.body) {
 		body, truncated = body[:cap(sl.body)], true
 	}
 	sl.body = append(sl.body[:0], body...)
-	sl.bodyLen = len(v.body)
+	sl.bodyLen = len(o.Body)
 	sl.truncated = truncated
-	sl.spans = v.spans
-	sl.decisions = v.decisions
+	sl.spans = o.Spans
+	sl.decisions = o.Decisions
 }
 
 // Ring is one endpoint's capture state: the request ring plus the
@@ -208,63 +196,45 @@ func newRing(rec *Recorder, endpoint string) *Ring {
 	return r
 }
 
-// RecordFast captures one cached-path hit. It is the zero-allocation
-// twin of Record: scalar arguments only, every byte copied into
-// preallocated slot buffers, so the server's 0 allocs/op fast path can
-// record unconditionally. The body slice may alias pooled memory; it
-// is copied before return.
-func (r *Ring) RecordFast(status int, reqID, fp string, dur time.Duration, body []byte) {
+// Record captures one finished request. It copies every byte into the
+// slot's preallocated buffers and allocates nothing, so the server's
+// 0 allocs/op cached path records every hit; o may alias pooled memory
+// that is recycled after Record returns.
+func (r *Ring) Record(o *Obs) {
 	if r == nil {
 		return
 	}
-	v := view{status: status, deadlineMS: -1, durUS: dur.Microseconds(),
-		fp: fp, cache: "hit", reqID: reqID, body: body}
-	r.record(&v)
-}
-
-// Record captures one slow-path request.
-func (r *Ring) Record(o Obs) {
-	if r == nil {
-		return
-	}
-	v := view{status: o.Status, deadlineMS: o.DeadlineMS, durUS: o.Dur.Microseconds(),
-		fp: o.Fingerprint, cache: o.Cache, errCode: o.ErrCode, reqID: o.RequestID,
-		body: o.Body, truncated: o.Truncated, spans: o.Spans, decisions: o.Decisions}
-	r.record(&v)
-}
-
-func (r *Ring) record(v *view) {
-	v.seq = r.rec.seq.Add(1)
-	v.unixNS = time.Now().UnixNano()
+	seq, unixNS := r.rec.seq.Add(1), time.Now().UnixNano()
 	r.mu.Lock()
-	r.slots[r.next].set(v)
+	r.slots[r.next].set(o, seq, unixNS)
 	r.next = (r.next + 1) % len(r.slots)
 	if r.n < len(r.slots) {
 		r.n++
 	}
 	r.mu.Unlock()
-	r.offer(v)
+	r.offer(o, seq, unixNS)
 	r.rec.records.Add(1)
 }
 
-// offer inserts v into the exemplar heap when it is slower than the
-// current floor. The pre-check reads one atomic: until the heap fills,
-// exMin is -1 and everything is admitted.
-func (r *Ring) offer(v *view) {
-	if len(r.ex) == 0 || v.durUS <= r.exMin.Load() {
+// offer inserts the record into the exemplar heap when it is slower
+// than the current floor. The pre-check reads one atomic: until the
+// heap fills, exMin is -1 and everything is admitted.
+func (r *Ring) offer(o *Obs, seq, unixNS int64) {
+	durUS := o.Dur.Microseconds()
+	if len(r.ex) == 0 || durUS <= r.exMin.Load() {
 		return
 	}
 	r.exMu.Lock()
 	switch {
 	case r.exLen < len(r.ex):
-		r.ex[r.exLen].set(v)
+		r.ex[r.exLen].set(o, seq, unixNS)
 		r.siftUp(r.exLen)
 		r.exLen++
 		if r.exLen == len(r.ex) {
 			r.exMin.Store(r.ex[0].durUS)
 		}
-	case v.durUS > r.ex[0].durUS:
-		r.ex[0].set(v)
+	case durUS > r.ex[0].durUS:
+		r.ex[0].set(o, seq, unixNS)
 		r.siftDown(0)
 		r.exMin.Store(r.ex[0].durUS)
 	}

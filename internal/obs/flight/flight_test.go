@@ -25,7 +25,7 @@ func TestRingWraparound(t *testing.T) {
 	r := New(testConfig())
 	ring := r.Endpoint("compile")
 	for i := 0; i < 6; i++ {
-		ring.Record(Obs{Status: 200, RequestID: "r" + string(rune('0'+i)), Dur: time.Duration(i) * time.Millisecond})
+		ring.Record(&Obs{Status: 200, RequestID: "r" + string(rune('0'+i)), Dur: time.Duration(i) * time.Millisecond})
 	}
 	if ring.Len() != 4 {
 		t.Fatalf("Len = %d, want ring capacity 4", ring.Len())
@@ -49,8 +49,8 @@ func TestBodyTruncation(t *testing.T) {
 	r := New(testConfig()) // BodyCap 32
 	ring := r.Endpoint("compile")
 	long := strings.Repeat("x", 100)
-	ring.Record(Obs{Status: 200, RequestID: "r1", Body: []byte(long)})
-	ring.Record(Obs{Status: 200, RequestID: "r2", Body: []byte("short")})
+	ring.Record(&Obs{Status: 200, RequestID: "r1", Body: []byte(long)})
+	ring.Record(&Obs{Status: 200, RequestID: "r2", Body: []byte("short")})
 
 	recs := ring.snapshot().Records
 	if got := recs[0]; !got.Truncated || got.Body != long[:32] || got.BodyLen != 100 {
@@ -68,7 +68,8 @@ func TestSlotCopiesCallerMemory(t *testing.T) {
 	r := New(testConfig())
 	ring := r.Endpoint("compile")
 	body := []byte(`{"source":"x"}`)
-	ring.RecordFast(200, "r1", "fp", time.Millisecond, body)
+	ring.Record(&Obs{Status: 200, RequestID: "r1", Fingerprint: "fp", Cache: "hit",
+		DeadlineMS: -1, Dur: time.Millisecond, Body: body})
 	for i := range body {
 		body[i] = '!'
 	}
@@ -83,7 +84,7 @@ func TestExemplarHeapKeepsSlowest(t *testing.T) {
 	// Durations chosen so the slowest three arrive interleaved with
 	// fast requests that must be evicted (or never admitted).
 	for _, ms := range []int{5, 90, 1, 70, 2, 80, 3} {
-		ring.Record(Obs{Status: 200, RequestID: "q", Dur: time.Duration(ms) * time.Millisecond})
+		ring.Record(&Obs{Status: 200, RequestID: "q", Dur: time.Duration(ms) * time.Millisecond})
 	}
 	slow := ring.snapshot().Slowest
 	if len(slow) != 3 {
@@ -102,9 +103,9 @@ func TestExemplarHeapKeepsSlowest(t *testing.T) {
 func TestExemplarSurvivesRingLap(t *testing.T) {
 	r := New(testConfig())
 	ring := r.Endpoint("compile")
-	ring.Record(Obs{Status: 200, RequestID: "outlier", Dur: time.Second})
+	ring.Record(&Obs{Status: 200, RequestID: "outlier", Dur: time.Second})
 	for i := 0; i < 10; i++ { // laps the 4-slot ring
-		ring.Record(Obs{Status: 200, RequestID: "fast", Dur: time.Millisecond})
+		ring.Record(&Obs{Status: 200, RequestID: "fast", Dur: time.Millisecond})
 	}
 	ed := ring.snapshot()
 	for _, rec := range ed.Records {
@@ -117,15 +118,23 @@ func TestExemplarSurvivesRingLap(t *testing.T) {
 	}
 }
 
-func TestRecordFastZeroAlloc(t *testing.T) {
+// TestRecordZeroAlloc: recording allocates nothing for either shape of
+// record the server fills — a cached hit, and a full-path record with
+// spans and decisions — so the cached path stays at 0 allocs/op.
+func TestRecordZeroAlloc(t *testing.T) {
 	r := New(Config{Cooldown: time.Hour})
 	ring := r.Endpoint("compile")
 	body := []byte(`{"source": "float A[8]; for (i = 0; i < 8; i = i + 1) { A[i] = 1.0; }"}`)
-	allocs := testing.AllocsPerRun(200, func() {
-		ring.RecordFast(200, "r00000042", "deadbeef", 517*time.Microsecond, body)
-	})
-	if allocs != 0 {
-		t.Errorf("RecordFast allocs/op = %g, want 0", allocs)
+	hit := Obs{Status: 200, RequestID: "r00000042", Fingerprint: "deadbeef", Cache: "hit",
+		DeadlineMS: -1, Dur: 517 * time.Microsecond, Body: body}
+	miss := Obs{Status: 200, RequestID: "r00000043", Fingerprint: "deadbeef", Cache: "miss",
+		DeadlineMS: 9999, Dur: 2 * time.Millisecond, Body: body,
+		Spans:     []SpanNote{{Name: "server.compile", DurUS: 2000}},
+		Decisions: []DecisionNote{{Loop: "1:28", Code: "SLMS200", Verdict: "accept"}}}
+	for _, o := range []*Obs{&hit, &miss} {
+		if allocs := testing.AllocsPerRun(200, func() { ring.Record(o) }); allocs != 0 {
+			t.Errorf("Record(cache=%s) allocs/op = %g, want 0", o.Cache, allocs)
+		}
 	}
 }
 
@@ -138,8 +147,7 @@ func TestDisabledRecorderNoops(t *testing.T) {
 	if ring != nil {
 		t.Fatalf("disabled recorder handed out a ring")
 	}
-	ring.Record(Obs{Status: 500}) // nil receiver: must not panic
-	ring.RecordFast(200, "r1", "", 0, nil)
+	ring.Record(&Obs{Status: 500}) // nil receiver: must not panic
 	if ring.Len() != 0 {
 		t.Errorf("nil ring Len = %d", ring.Len())
 	}
@@ -199,7 +207,7 @@ func TestDumpWriteDecodeRoundTrip(t *testing.T) {
 	cfg.Dir = dir
 	r := New(cfg)
 	r.AddState("server", func() any { return map[string]int{"workers": 4} })
-	r.Endpoint("compile").Record(Obs{
+	r.Endpoint("compile").Record(&Obs{
 		Status: 422, RequestID: "r00000007", Fingerprint: "abcd1234",
 		DeadlineMS: 9999, Dur: 250 * time.Microsecond, ErrCode: "SLMS422",
 		Body:      []byte(`{"source":"for (i"}`),
@@ -411,7 +419,7 @@ func TestHandlerIndexAndLatest(t *testing.T) {
 		t.Errorf("empty latest = %d %s", code, body)
 	}
 
-	r.Endpoint("compile").Record(Obs{Status: 500, RequestID: "r1", ErrCode: "SLMS500"})
+	r.Endpoint("compile").Record(&Obs{Status: 500, RequestID: "r1", ErrCode: "SLMS500"})
 	r.ForceTrigger(Trig5xx, "boom")
 	r.Sync()
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"math/bits"
@@ -20,9 +19,8 @@ import (
 //	...
 //	simRuns.Add(1)
 //
-// The default registry is published through expvar under "slms" (GET
-// /debug/vars on any process that serves expvar) and dumps as sorted
-// plain text via MetricsText.
+// The default registry dumps as sorted plain text via MetricsText;
+// slmsd serves it in the Prometheus text format at /metrics.
 
 // Counter is a monotonically increasing count.
 type Counter struct{ v atomic.Int64 }
@@ -52,6 +50,46 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // covers every representable duration.
 const histBuckets = 64
 
+// Buckets is the one latency-bucket geometry: bucket i counts the
+// durations whose log2(ns) is i, so its upper bound is 2^i ns. The
+// registry's histograms snapshot into it and slmsd's rolling SLO window
+// accumulates in it, so both read quantiles by the same rule.
+type Buckets [histBuckets]int64
+
+// bucketOf returns the bucket index of d (negative durations count as 0).
+func bucketOf(d time.Duration) int { return bits.Len64(uint64(max(d, 0))) }
+
+// Add counts one duration.
+func (b *Buckets) Add(d time.Duration) { b[bucketOf(d)]++ }
+
+// Quantile returns the upper bound, in seconds, of the bucket holding
+// the q-th of count observations by nearest rank: rank ceil(q*count),
+// at least 1. If the buckets hold fewer observations than that (a
+// snapshot racing an update), it returns the highest non-empty bucket's
+// bound.
+func (b *Buckets) Quantile(count int64, q float64) float64 {
+	target := max(int64(math.Ceil(q*float64(count))), 1)
+	var seen int64
+	top := -1
+	for i, n := range b {
+		if n == 0 {
+			continue
+		}
+		seen += n
+		top = i
+		if seen >= target {
+			return BucketBound(i)
+		}
+	}
+	if top < 0 {
+		return 0
+	}
+	return BucketBound(top)
+}
+
+// BucketBound returns the upper bound, in seconds, of bucket i.
+func BucketBound(i int) float64 { return float64(uint64(1)<<uint(i)) / 1e9 }
+
 // Histogram accumulates durations into log2(ns) buckets. All fields
 // update with single atomics; quantiles are approximate (bucket upper
 // bounds) but bias is bounded to 2x, plenty for phase timing.
@@ -64,10 +102,7 @@ type Histogram struct {
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
+	ns := max(int64(d), 0)
 	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
@@ -76,58 +111,36 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
-	h.buckets[bits.Len64(uint64(ns))].Add(1)
+	h.buckets[bucketOf(d)].Add(1)
 }
 
 // HistStat is a histogram snapshot in seconds. Buckets carries the raw
-// per-bucket counts (bucket i holds durations with log2(ns) == i) for
-// exporters that need the distribution — the Prometheus text exporter
-// renders them as cumulative le buckets — and is excluded from the JSON
-// forms, whose schema predates it.
+// per-bucket counts for exporters that need the distribution — the
+// Prometheus text exporter renders them as cumulative le buckets — and
+// is excluded from the JSON forms, whose schema predates it.
 type HistStat struct {
-	Count   int64              `json:"count"`
-	Seconds float64            `json:"seconds"`
-	Mean    float64            `json:"mean_seconds"`
-	Max     float64            `json:"max_seconds"`
-	P50     float64            `json:"p50_seconds"`
-	P99     float64            `json:"p99_seconds"`
-	Buckets [histBuckets]int64 `json:"-"`
+	Count   int64   `json:"count"`
+	Seconds float64 `json:"seconds"`
+	Mean    float64 `json:"mean_seconds"`
+	Max     float64 `json:"max_seconds"`
+	P50     float64 `json:"p50_seconds"`
+	P99     float64 `json:"p99_seconds"`
+	Buckets Buckets `json:"-"`
 }
 
 func (h *Histogram) stat() HistStat {
 	s := HistStat{Count: h.count.Load()}
 	s.Seconds = float64(h.sum.Load()) / 1e9
 	s.Max = float64(h.max.Load()) / 1e9
-	if s.Count > 0 {
-		s.Mean = s.Seconds / float64(s.Count)
-		s.P50 = h.quantile(s.Count, 0.50)
-		s.P99 = h.quantile(s.Count, 0.99)
-	}
-	for i := 0; i < histBuckets; i++ {
+	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
+	if s.Count > 0 {
+		s.Mean = s.Seconds / float64(s.Count)
+		s.P50 = s.Buckets.Quantile(s.Count, 0.50)
+		s.P99 = s.Buckets.Quantile(s.Count, 0.99)
+	}
 	return s
-}
-
-// BucketBound returns the upper bound, in seconds, of log2(ns) bucket
-// i — the same bound quantile estimation uses.
-func BucketBound(i int) float64 { return float64(uint64(1)<<uint(i)) / 1e9 }
-
-// quantile returns the upper bound (in seconds) of the bucket holding
-// the q-th observation.
-func (h *Histogram) quantile(count int64, q float64) float64 {
-	target := int64(math.Ceil(q * float64(count)))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen >= target {
-			return float64(uint64(1)<<uint(i)) / 1e9
-		}
-	}
-	return float64(h.max.Load()) / 1e9
 }
 
 // Registry holds named metrics. The zero value is not usable; call
@@ -148,12 +161,8 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Default is the process-wide registry, published via expvar as "slms".
+// Default is the process-wide registry.
 var Default = NewRegistry()
-
-func init() {
-	expvar.Publish("slms", expvar.Func(func() any { return Default.Snapshot() }))
-}
 
 // Counter returns (registering if needed) the named counter.
 func (r *Registry) Counter(name string) *Counter {
@@ -204,7 +213,7 @@ func HistName(name string) *Histogram { return Default.Histogram(name) }
 // ("phase.<name>" in the default registry).
 func PhaseHist(name string) *Histogram { return Default.Histogram("phase." + name) }
 
-// Snapshot captures every metric for serialization (expvar, JSON).
+// Snapshot captures every metric for serialization (JSON).
 type Snapshot struct {
 	Counters   map[string]int64    `json:"counters"`
 	Gauges     map[string]int64    `json:"gauges"`

@@ -3,15 +3,19 @@
 // throttle (429) rate over the last few minutes, checked against fixed
 // budgets. Unlike the obs registry's histograms — which accumulate over
 // the whole process life — these windows age out, so /v1/status answers
-// "how is the service doing right now", not "since it started".
+// "how is the service doing right now", not "since it started". Each
+// window slot counts latencies in obs.Buckets, the registry histograms'
+// geometry, and quantiles are read by the same nearest-rank rule, so a
+// window and a histogram fed the same requests report the same p50/p99.
 package slo
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"slms/internal/obs"
 )
 
 // Window geometry: slotCount slots of slotDur each. A slot is reused
@@ -32,10 +36,6 @@ const (
 	ThrottleBudget = 0.05
 )
 
-// latBuckets mirrors the obs histogram geometry: one bucket per
-// power-of-two nanosecond range.
-const latBuckets = 64
-
 // slot is one time-slice of an endpoint's window.
 type slot struct {
 	mu        sync.Mutex
@@ -44,7 +44,7 @@ type slot struct {
 	errors    int64 // 5xx
 	throttled int64 // 429
 	sumNS     int64
-	lat       [latBuckets]int64
+	lat       obs.Buckets
 }
 
 // Endpoint accumulates one endpoint's rolling window.
@@ -145,7 +145,7 @@ func (e *Endpoint) observe(now time.Time, status int, d time.Duration) {
 		// The slot belongs to a lap that aged out; restart it.
 		s.epoch = epoch
 		s.requests, s.errors, s.throttled, s.sumNS = 0, 0, 0, 0
-		s.lat = [latBuckets]int64{}
+		s.lat = obs.Buckets{}
 	}
 	s.requests++
 	switch {
@@ -154,12 +154,8 @@ func (e *Endpoint) observe(now time.Time, status int, d time.Duration) {
 	case status >= 500:
 		s.errors++
 	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	s.sumNS += ns
-	s.lat[bits.Len64(uint64(ns))]++
+	s.sumNS += max(int64(d), 0)
+	s.lat.Add(d)
 }
 
 // EndpointStatus is one endpoint's rolling-window summary.
@@ -213,7 +209,7 @@ func (e *Endpoint) snapshot(now time.Time) EndpointStatus {
 	epoch := now.UnixNano() / int64(slotDur)
 	oldest := epoch - slotCount + 1
 
-	var merged [latBuckets]int64
+	var merged obs.Buckets
 	es := EndpointStatus{
 		Endpoint:      e.name,
 		WindowSeconds: (slotDur * slotCount).Seconds(),
@@ -237,28 +233,11 @@ func (e *Endpoint) snapshot(now time.Time) EndpointStatus {
 		es.ErrorRate = float64(es.Errors) / float64(es.Requests)
 		es.ThrottleRate = float64(es.Throttled) / float64(es.Requests)
 		es.MeanSeconds = float64(sumNS) / 1e9 / float64(es.Requests)
-		es.P50Seconds = quantile(&merged, es.Requests, 0.50)
-		es.P95Seconds = quantile(&merged, es.Requests, 0.95)
-		es.P99Seconds = quantile(&merged, es.Requests, 0.99)
+		es.P50Seconds = merged.Quantile(es.Requests, 0.50)
+		es.P95Seconds = merged.Quantile(es.Requests, 0.95)
+		es.P99Seconds = merged.Quantile(es.Requests, 0.99)
 	}
 	es.ErrorBudgetOK = es.ErrorRate <= ErrorBudget
 	es.ThrottleOK = es.ThrottleRate <= ThrottleBudget
 	return es
-}
-
-// quantile returns the upper bound, in seconds, of the bucket holding
-// the q-th observation — the same estimate the obs histograms use.
-func quantile(buckets *[latBuckets]int64, count int64, q float64) float64 {
-	target := int64(q*float64(count) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i := 0; i < latBuckets; i++ {
-		seen += buckets[i]
-		if seen >= target {
-			return float64(uint64(1)<<uint(i)) / 1e9
-		}
-	}
-	return 0
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"slms/internal/obs"
 )
 
 // fixedClock returns a controllable time source starting at a round
@@ -91,6 +93,37 @@ func TestQuantiles(t *testing.T) {
 	}
 	if es.P95Seconds != slow {
 		t.Errorf("p95 = %g, want %g (95th of 100 with 10 slow)", es.P95Seconds, slow)
+	}
+}
+
+// TestQuantilesRankLikeRegistry: the window ranks quantiles by nearest
+// rank, as the registry's histograms do. With 11 requests at 1ms and 1
+// at 100ms, one request in twelve (8%) took 100ms, so p95 must land in
+// the slow bucket; rounding the rank to nearest would report 1ms.
+func TestQuantilesRankLikeRegistry(t *testing.T) {
+	_, clock := fixedClock()
+	tr := New()
+	tr.SetClock(clock)
+	reg := obs.NewRegistry()
+	h := reg.Histogram("latency")
+	durs := []time.Duration{100 * time.Millisecond}
+	for i := 0; i < 11; i++ {
+		durs = append(durs, time.Millisecond)
+	}
+	for _, d := range durs {
+		tr.Observe("compile", 200, d)
+		h.Observe(d)
+	}
+	es := tr.Snapshot().Endpoints[0]
+	if slow := float64(uint64(1)<<27) / 1e9; es.P95Seconds != slow {
+		t.Errorf("p95 = %g, want the 2^27ns bound %g (1 of 12 requests took 100ms)", es.P95Seconds, slow)
+	}
+	hs := reg.Snapshot().Histograms["latency"]
+	if es.P50Seconds != hs.P50 || es.P99Seconds != hs.P99 {
+		t.Errorf("window p50/p99 = %g/%g, registry histogram = %g/%g", es.P50Seconds, es.P99Seconds, hs.P50, hs.P99)
+	}
+	if p95 := hs.Buckets.Quantile(hs.Count, 0.95); es.P95Seconds != p95 {
+		t.Errorf("window p95 = %g, registry buckets = %g", es.P95Seconds, p95)
 	}
 }
 

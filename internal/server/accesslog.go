@@ -1,24 +1,20 @@
 package server
 
 import (
-	"context"
 	"io"
-	"log/slog"
 	"strconv"
 	"sync"
-	"time"
+
+	"slms/internal/obs/flight"
 )
 
 // The access log: one structured line per finished request, on a
 // dedicated destination (slmsd's -access-log flag) so request traffic
-// never mixes into the "slms: " diagnostic stream. Every line is
-// rendered into one shared buffer under one mutex and emitted with a
-// single Write, so concurrent request completions cannot interleave
-// mid-line no matter the destination.
-//
-// The slow path logs through slog (custom handler, same renderer); the
-// cached fast path calls the renderer directly, reusing the buffer, so
-// logging does not break the 0 B/op guarantee. Both produce:
+// never mixes into the "slms: " diagnostic stream. The line is rendered
+// from the request's one record (flight.Obs) into one shared buffer
+// under one mutex and emitted with a single Write, so concurrent
+// request completions cannot interleave mid-line no matter the
+// destination, and rendering allocates nothing on either request path:
 //
 //	access endpoint=compile status=200 req=<id> fp=<fingerprint>
 //	       cache=hit|miss deadline_ms=<remaining|-1> dur_us=<n>
@@ -28,42 +24,17 @@ type accessLog struct {
 	mu  sync.Mutex
 	w   io.Writer
 	buf []byte
-
-	logger *slog.Logger
 }
 
-// newAccessLog builds the log; a nil writer disables it (every record
+// newAccessLog builds the log; a nil writer disables it (every line
 // call becomes a cheap early return).
 func newAccessLog(w io.Writer) *accessLog {
-	al := &accessLog{w: w, buf: make([]byte, 0, 256)}
-	al.logger = slog.New(&accessHandler{al: al})
-	return al
+	return &accessLog{w: w, buf: make([]byte, 0, 256)}
 }
 
-func (al *accessLog) enabled() bool { return al != nil && al.w != nil }
-
-// record emits one slow-path access line via slog.
-func (al *accessLog) record(endpoint string, status int, req, fp, cache string, deadlineMS int64, dur time.Duration) {
-	if !al.enabled() {
-		return
-	}
-	al.logger.LogAttrs(context.Background(), slog.LevelInfo, "access",
-		slog.String("endpoint", endpoint),
-		slog.Int("status", status),
-		slog.String("req", req),
-		slog.String("fp", fp),
-		slog.String("cache", cache),
-		slog.Int64("deadline_ms", deadlineMS),
-		slog.Int64("dur_us", dur.Microseconds()),
-	)
-}
-
-// fastLine is record for the zero-allocation cached path: identical
-// format, no slog value boxing, nothing minted per call. Cached hits
-// carry no deadline (the request never builds a context), logged as -1
-// like any other deadline-less request.
-func (al *accessLog) fastLine(endpoint string, status int, req, fp, cache string, dur time.Duration) {
-	if !al.enabled() {
+// line renders and writes one request's access line from its record.
+func (al *accessLog) line(endpoint string, o *flight.Obs) {
+	if al == nil || al.w == nil {
 		return
 	}
 	al.mu.Lock()
@@ -71,15 +42,17 @@ func (al *accessLog) fastLine(endpoint string, status int, req, fp, cache string
 	b := append(al.buf[:0], "access endpoint="...)
 	b = append(b, endpoint...)
 	b = append(b, " status="...)
-	b = strconv.AppendInt(b, int64(status), 10)
+	b = strconv.AppendInt(b, int64(o.Status), 10)
 	b = append(b, " req="...)
-	b = appendField(b, req)
+	b = appendField(b, o.RequestID)
 	b = append(b, " fp="...)
-	b = appendField(b, fp)
+	b = appendField(b, o.Fingerprint)
 	b = append(b, " cache="...)
-	b = appendField(b, cache)
-	b = append(b, " deadline_ms=-1 dur_us="...)
-	b = strconv.AppendInt(b, dur.Microseconds(), 10)
+	b = appendField(b, o.Cache)
+	b = append(b, " deadline_ms="...)
+	b = strconv.AppendInt(b, o.DeadlineMS, 10)
+	b = append(b, " dur_us="...)
+	b = strconv.AppendInt(b, o.Dur.Microseconds(), 10)
 	b = append(b, '\n')
 	al.buf = b
 	al.w.Write(b)
@@ -90,40 +63,4 @@ func appendField(b []byte, s string) []byte {
 		return append(b, '-')
 	}
 	return append(b, s...)
-}
-
-// accessHandler renders slog records in the access-line format through
-// the shared buffer and mutex.
-type accessHandler struct{ al *accessLog }
-
-func (h *accessHandler) Enabled(context.Context, slog.Level) bool { return true }
-func (h *accessHandler) WithAttrs(attrs []slog.Attr) slog.Handler { return h }
-func (h *accessHandler) WithGroup(string) slog.Handler            { return h }
-
-func (h *accessHandler) Handle(_ context.Context, r slog.Record) error {
-	h.al.mu.Lock()
-	defer h.al.mu.Unlock()
-	b := append(h.al.buf[:0], r.Message...)
-	r.Attrs(func(a slog.Attr) bool {
-		b = append(b, ' ')
-		b = append(b, a.Key...)
-		b = append(b, '=')
-		b = appendAttrValue(b, a.Value)
-		return true
-	})
-	b = append(b, '\n')
-	h.al.buf = b
-	_, err := h.al.w.Write(b)
-	return err
-}
-
-func appendAttrValue(b []byte, v slog.Value) []byte {
-	switch v.Kind() {
-	case slog.KindInt64:
-		return strconv.AppendInt(b, v.Int64(), 10)
-	case slog.KindString:
-		return appendField(b, v.String())
-	default:
-		return append(b, v.String()...)
-	}
 }

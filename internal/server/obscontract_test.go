@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"slms/internal/obs"
+	"slms/internal/obs/flight"
 	"slms/internal/obs/promexp"
 )
 
@@ -385,6 +387,79 @@ func TestAccessLogAtomicLines(t *testing.T) {
 		if !lineRE.MatchString(line) {
 			t.Fatalf("malformed (interleaved?) access line: %q", line)
 		}
+	}
+}
+
+// TestOneRecordPerRequest: every per-request output comes from one
+// record. A slow-path miss, its byte-identical fast-path hit and a 422
+// each leave an access line whose fields equal the request's flight
+// ring record, in order, and the SLO window counts all three.
+func TestOneRecordPerRequest(t *testing.T) {
+	var logBuf syncBuf
+	s, ts := newTestServer(t, Config{AccessLog: &logBuf})
+	miss := jsonBody(`float A[48]; float B[48];
+for (i = 0; i < 48; i++) { A[i] = B[i] * 0.25; }
+`, "")
+	for i, body := range []string{miss, miss, `{"source": "for (i = 0; i <"}`} {
+		post(t, ts.URL+"/v1/compile", body)
+		// The line is the last thing a request writes; waiting for it
+		// keeps the lines and ring records in request order.
+		waitFor(t, "access line", func() bool { return strings.Count(logBuf.String(), "\n") == i+1 })
+	}
+	lines := strings.Split(strings.TrimSuffix(logBuf.String(), "\n"), "\n")
+
+	s.Flight().ForceTrigger(flight.TrigSigquit, "test")
+	s.Flight().Sync()
+	blob, _, ok := s.Flight().Latest()
+	if !ok {
+		t.Fatal("no flight dump")
+	}
+	d, err := flight.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := d.Timeline()
+	if len(recs) != len(lines) {
+		t.Fatalf("%d ring records, %d access lines:\n%s", len(recs), len(lines), logBuf.String())
+	}
+	orDash := func(v string) string {
+		if v == "" {
+			return "-"
+		}
+		return v
+	}
+	for i, rec := range recs {
+		want := map[string]string{
+			"status": strconv.Itoa(rec.Status), "req": orDash(rec.RequestID),
+			"fp": orDash(rec.Fingerprint), "cache": orDash(rec.Cache),
+			"deadline_ms": strconv.FormatInt(rec.DeadlineMS, 10), "dur_us": strconv.FormatInt(rec.DurUS, 10),
+		}
+		for k, v := range want {
+			if got := accessField(t, lines[i], k); got != v {
+				t.Errorf("request %d: access line %s=%s, ring record %s=%s\n%s", i, k, got, k, v, lines[i])
+			}
+		}
+	}
+	if got := []string{recs[0].Cache, recs[1].Cache}; got[0] != "miss" || got[1] != "hit" {
+		t.Errorf("cache states = %v, want [miss hit]", got)
+	}
+	if recs[2].Status != 422 {
+		t.Errorf("third record status = %d, want 422", recs[2].Status)
+	}
+
+	_, body := get(t, ts.URL+"/v1/status")
+	var st StatusResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("decoding status: %v\n%s", err, body)
+	}
+	requests := int64(-1)
+	for _, ep := range st.SLO.Endpoints {
+		if ep.Endpoint == "compile" {
+			requests = ep.Requests
+		}
+	}
+	if requests != 3 {
+		t.Errorf("/v1/status counts %d compile requests, want 3", requests)
 	}
 }
 

@@ -179,6 +179,42 @@ func (s *Server) Flight() *flight.Recorder { return s.flight }
 // IDs, panic isolation and metrics.
 type handlerFunc func(ctx context.Context, req *Request) (any, *apiError)
 
+// route holds one endpoint's per-request sinks, resolved once when the
+// endpoint is registered so neither request path pays a lookup. ring is
+// nil when the flight recorder is disabled; every Ring method no-ops on
+// nil.
+type route struct {
+	name      string
+	ring      *flight.Ring
+	latency   *obs.Histogram
+	errors    *obs.Counter
+	status200 *obs.Counter
+	slo       *slo.Tracker
+	access    *accessLog
+}
+
+// finish derives every per-request output from the request's one
+// record: the flight ring, the latency and status series, the SLO
+// window and the access line. The ring comes first: an SLO breach
+// fires its dump synchronously inside the window's Observe, and that
+// dump must already hold the breaching request (capture before
+// observe). o may alias pooled memory; nothing here retains it past the
+// call.
+func (rt *route) finish(o *flight.Obs) {
+	rt.ring.Record(o)
+	rt.latency.Observe(o.Dur)
+	if o.Status == 200 {
+		rt.status200.Add(1)
+	} else {
+		obs.CounterName(fmt.Sprintf("server.%s.status.%d", rt.name, o.Status)).Add(1)
+	}
+	if o.Status >= 400 {
+		rt.errors.Add(1)
+	}
+	rt.slo.Observe(rt.name, o.Status, o.Dur)
+	rt.access.line(rt.name, o)
+}
+
 // handle registers an endpoint behind the standard wrapper: POST-only,
 // request IDs, drain refusal, panic isolation, per-endpoint
 // metrics/spans, deadline derivation, admission + response cache.
@@ -188,18 +224,20 @@ type handlerFunc func(ctx context.Context, req *Request) (any, *apiError)
 // byte-identical repeats of previously cached requests straight from
 // the pre-serialized cache entry, and the full slow path for everything
 // else. The fast path still counts the request, consumes a sequence
-// number, respects drain, touches the LRU and observes latency — it
-// only skips work that mints garbage (request-ID formatting, JSON
-// decoding, contexts, spans, header Set).
+// number, respects drain, touches the LRU and finishes through the same
+// record as the slow path — it only skips work that mints garbage
+// (request-ID formatting, JSON decoding, contexts, spans, header Set).
 func (s *Server) handle(name, pattern string, h handlerFunc) {
 	requests := obs.CounterName("server." + name + ".requests")
-	errors := obs.CounterName("server." + name + ".errors")
-	latency := obs.HistName("server." + name + ".latency")
-	status200 := obs.CounterName("server." + name + ".status.200")
-	// The endpoint's flight-recorder ring, hoisted so neither path pays
-	// a lookup. Nil when the recorder is disabled; every Ring method
-	// no-ops on nil.
-	ring := s.flight.Endpoint(name)
+	rt := &route{
+		name:      name,
+		ring:      s.flight.Endpoint(name),
+		latency:   obs.HistName("server." + name + ".latency"),
+		errors:    obs.CounterName("server." + name + ".errors"),
+		status200: obs.CounterName("server." + name + ".status.200"),
+		slo:       s.slo,
+		access:    s.access,
+	}
 
 	// slow is the full request path. st, when non-nil, holds the already
 	// read body (endpoint-prefixed) and its digest; began reports that
@@ -208,70 +246,49 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		// The request ID: a valid W3C traceparent contributes its
 		// trace-id; anything else — including a malformed header, which
 		// must never fail the request — gets a minted ID.
-		reqID := ""
+		o := flight.Obs{DeadlineMS: -1}
 		if tp := r.Header.Get("traceparent"); tp != "" {
 			if id, ok := obs.ParseTraceparent(tp); ok {
-				reqID = id
+				o.RequestID = id
 			}
 		}
-		if reqID == "" {
-			reqID = fmt.Sprintf("r%08d", seq)
+		if o.RequestID == "" {
+			o.RequestID = fmt.Sprintf("r%08d", seq)
 		}
+		reqID := o.RequestID
 		w.Header().Set("X-Request-ID", reqID)
 
-		status := 0
-		fp, cacheState, errCode := "", "", ""
 		var deadline time.Time
 		var sp *obs.Span
-		var decisions []flight.DecisionNote
 		panicked := false
 		// fail renders the error envelope while capturing the stable
-		// code (and any positioned diagnostics) for the flight record.
+		// code (and any positioned diagnostics) for the record.
 		fail := func(ae *apiError) {
-			errCode = ae.code
+			o.ErrCode = ae.code
 			if len(ae.diags) > 0 {
-				decisions = diagNotes(ae.diags)
+				o.Decisions = diagNotes(ae.diags)
 			}
-			status = s.writeError(w, reqID, ae)
+			o.Status = s.writeError(w, reqID, ae)
 		}
 		defer func() {
-			dur := time.Since(start)
-			latency.Observe(dur)
-			obs.CounterName(fmt.Sprintf("server.%s.status.%d", name, status)).Add(1)
-			if status >= 400 {
-				errors.Add(1)
-			}
-			deadlineMS := int64(-1)
+			o.Dur = time.Since(start)
 			if !deadline.IsZero() {
-				deadlineMS = time.Until(deadline).Milliseconds()
+				o.DeadlineMS = time.Until(deadline).Milliseconds()
 			}
-
-			// Flight capture: every finished request lands in the
-			// endpoint's ring before its pooled state is recycled (the
-			// recorder copies the body and ID bytes out) and before any
-			// trigger can snapshot — the SLO breach hook fires inside
-			// Observe below, and its dump must already contain this
-			// request. With tracing off there is no span tree; a
-			// one-note summary keeps the record's shape uniform.
-			var body []byte
+			// With tracing off there is no span tree; a one-note summary
+			// keeps the record's shape uniform.
+			if o.Spans = flight.SpanTree(obs.Active(), sp); o.Spans == nil {
+				o.Spans = []flight.SpanNote{{Name: "server." + name, DurUS: o.Dur.Microseconds()}}
+			}
 			if st != nil {
-				body = st.body(len(name) + 1)
+				o.Body, o.Truncated = st.body(len(name)+1), tooLarge
 			}
-			spans := flight.SpanTree(obs.Active(), sp)
-			if spans == nil {
-				spans = []flight.SpanNote{{Name: "server." + name, DurUS: dur.Microseconds()}}
-			}
-			ring.Record(flight.Obs{
-				Status: status, RequestID: reqID, Fingerprint: fp, Cache: cacheState,
-				DeadlineMS: deadlineMS, Dur: dur, ErrCode: errCode,
-				Body: body, Truncated: tooLarge, Spans: spans, Decisions: decisions,
-			})
+			rt.finish(&o)
+			// The record's body aliases the pooled buffer: recycle it
+			// only once the record is finished.
 			if st != nil {
 				putFastReq(st)
 			}
-
-			s.slo.Observe(name, status, dur)
-			s.access.record(name, status, reqID, fp, cacheState, deadlineMS, dur)
 			// Anomalies dump after the record lands so the dump contains
 			// the request that triggered it. Drain refusals (503) are
 			// designed shedding, not an anomaly — drain fires its own
@@ -279,9 +296,9 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 			switch {
 			case panicked:
 				s.flight.Trigger(flight.TrigPanic, name+" "+reqID)
-			case status == 504:
+			case o.Status == 504:
 				s.flight.Trigger(flight.TrigDeadline, name+" "+reqID)
-			case status >= 500 && status != 503:
+			case o.Status >= 500 && o.Status != 503:
 				s.flight.Trigger(flight.Trig5xx, name+" "+reqID)
 			}
 		}()
@@ -344,7 +361,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		ctx = obs.ContextWithSpan(ctx, sp)
 
 		key := req.fingerprint(name)
-		fp = key
+		o.Fingerprint = key
 		resp, hit, aerr := s.cache.do(ctx, key, func() (*cachedResponse, *apiError) {
 			if aerr := s.adm.acquire(ctx); aerr != nil {
 				return nil, aerr
@@ -361,10 +378,10 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 				return nil, aerr
 			}
 			// Capture the response's SLMS2xx/3xx decision records for
-			// the flight ring. Only the singleflight leader computes, so
+			// the record. Only the singleflight leader computes, so
 			// deduplicated followers record without decisions — like any
 			// cache hit, their work happened elsewhere.
-			decisions = responseDecisions(body)
+			o.Decisions = responseDecisions(body)
 			blob, err := json.MarshalIndent(body, "", "  ")
 			if err != nil {
 				obs.Errorf("server: %s: marshaling %s response: %v", reqID, pattern, err)
@@ -383,14 +400,14 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 			// byte-identical request takes the zero-allocation path.
 			s.cache.addAlias(st.raw, key)
 		}
-		cacheState = "miss"
+		o.Cache = "miss"
 		if hit {
-			cacheState = "hit"
+			o.Cache = "hit"
 		}
-		sp.Attr("cache", cacheState)
+		sp.Attr("cache", o.Cache)
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-SLMS-Cache", cacheState)
-		status = resp.status
+		w.Header().Set("X-SLMS-Cache", o.Cache)
+		o.Status = resp.status
 		w.WriteHeader(resp.status)
 		w.Write(resp.body)
 	}
@@ -442,16 +459,12 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 				if f, ok := w.(http.Flusher); ok {
 					f.Flush()
 				}
-				status200.Add(1)
-				dur := time.Since(start)
-				latency.Observe(dur)
-				s.slo.Observe(name, 200, dur)
-				s.access.fastLine(name, 200, reqID, key, "hit", dur)
-				// Flight capture stays on the 0 allocs/op budget:
-				// RecordFast copies the pooled ID and body bytes into
-				// the ring's preallocated slot before putFastReq recycles
-				// them.
-				ring.RecordFast(200, reqID, key, dur, st.body(len(name)+1))
+				// The record's ID and body alias the pooled fastReq, so
+				// it is recycled only after finish. A cached hit never
+				// builds a context, so it has no deadline.
+				o := flight.Obs{Status: resp.status, RequestID: reqID, Fingerprint: key,
+					Cache: "hit", DeadlineMS: -1, Dur: time.Since(start), Body: st.body(len(name) + 1)}
+				rt.finish(&o)
 				putFastReq(st)
 				s.endRequest()
 				return
