@@ -128,7 +128,7 @@ func Measure(p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env))
 // whole measurement. The returned error wraps ctx.Err() on
 // cancellation (test with errors.Is(err, context.DeadlineExceeded)).
 func MeasureCtx(ctx context.Context, p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env)) (*Metrics, error) {
-	outs, errs, err := pipeline.RunExperimentsCtx(ctx, nil, p, m, cc, []core.Options{opts}, seed)
+	outs, errs, err := pipeline.RunExperimentsCtx(ctx, p, m, cc, []core.Options{opts}, seed)
 	if err != nil {
 		return nil, err
 	}

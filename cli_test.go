@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -163,6 +164,36 @@ if (m >= 200) {
 `, "-")
 	if !strings.Contains(guarded, "SLMS applied: II=1") || strings.Contains(guarded, "SLMS230") {
 		t.Errorf("guarded loop not explained as the compiler pipelines it (II=1, no SLMS230):\n%s", guarded)
+	}
+
+	// The report is deterministic: every scalars block lists its names
+	// in order, so repeated runs print the same bytes.
+	multiloop := filepath.Join("internal", "core", "testdata", "multiloop.c")
+	first, _ := runTool(t, bin, "", multiloop)
+	for run := 2; run <= 10; run++ {
+		if again, _ := runTool(t, bin, "", multiloop); again != first {
+			t.Fatalf("slmsexplain %s run %d differs from run 1:\n%s\n--- run 1 ---\n%s", multiloop, run, again, first)
+		}
+	}
+	var names []string
+	inBlock, blocks := false, 0
+	for _, line := range strings.Split(first, "\n") {
+		if line == "scalars:" {
+			inBlock, names = true, nil
+			blocks++
+			continue
+		}
+		if !inBlock || !strings.Contains(line, "(defs=") {
+			inBlock = false
+			continue
+		}
+		names = append(names, strings.Fields(line)[0])
+		if !sort.StringsAreSorted(names) {
+			t.Errorf("scalars block %d is not in name order: %v", blocks, names)
+		}
+	}
+	if blocks == 0 {
+		t.Errorf("slmsexplain %s printed no scalars block:\n%s", multiloop, first)
 	}
 }
 
@@ -437,19 +468,7 @@ func TestCLIFlagParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	entries, err := os.ReadDir("cmd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	if len(names) < 8 {
-		t.Fatalf("cmd/ lists %d binaries (%v), want at least the 8 known ones", len(names), names)
-	}
+	names := cmdNames(t)
 	// The contract every binary carries: request correlation, tracing,
 	// metrics export, quiet mode.
 	required := []string{"-request-id", "-trace", "-trace-format", "-metrics", "-q"}
@@ -468,6 +487,87 @@ func TestCLIFlagParity(t *testing.T) {
 				if !regexp.MustCompile(`(?m)^\s+` + f + `\b`).MatchString(usage) {
 					t.Errorf("%s usage does not list %s", name, f)
 				}
+			}
+		})
+	}
+}
+
+// cmdNames lists the binaries under cmd/.
+func cmdNames(t *testing.T) []string {
+	t.Helper()
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) < 8 {
+		t.Fatalf("cmd/ lists %d binaries (%v), want at least the 8 known ones", len(names), names)
+	}
+	return names
+}
+
+// flagDefaultRE matches the "(default X)" that -h appends to a flag
+// whose default is not its type's zero value.
+var flagDefaultRE = regexp.MustCompile(`\((default .*)\)$`)
+
+// flagSurface reduces -h output to one "-name type [(default X)]" line
+// per flag; -h prints no type for a boolean flag.
+func flagSurface(usage string) []string {
+	var lines []string
+	for _, l := range strings.Split(usage, "\n") {
+		if strings.HasPrefix(l, "  -") {
+			head, _, _ := strings.Cut(l[2:], "\t")
+			if !strings.Contains(head, " ") {
+				head += " bool"
+			}
+			lines = append(lines, head)
+		}
+		if m := flagDefaultRE.FindStringSubmatch(l); m != nil && len(lines) > 0 {
+			lines[len(lines)-1] += " (" + m[1] + ")"
+		}
+	}
+	return lines
+}
+
+// TestCLIFlagSurface pins every binary's flags — name, type and default
+// as -h prints them — to testdata/cli_flags.golden, so moving a CLI's
+// request flags onto pipeline.Request.BindFlags cannot rename, retype
+// or re-default one.
+func TestCLIFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "cli_flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{}
+	for _, l := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		name, flagLine, _ := strings.Cut(l, " ")
+		want[name] = append(want[name], flagLine)
+	}
+	names := cmdNames(t)
+	if len(names) != len(want) {
+		t.Errorf("cmd/ lists %v; the golden covers %d binaries", names, len(want))
+	}
+	for _, name := range names {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			bin := buildTool(t, name)
+			out, err := exec.Command(bin, "-h").CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s -h: %v\n%s", name, err, out)
+			}
+			got := flagSurface(string(out))
+			if strings.Join(got, "\n") != strings.Join(want[name], "\n") {
+				t.Errorf("%s flag surface changed\n--- got ---\n%s\n--- want ---\n%s",
+					name, strings.Join(got, "\n"), strings.Join(want[name], "\n"))
 			}
 		})
 	}

@@ -108,7 +108,7 @@ func main() {
 
 	err := run(*figure, *list, *ablations, *census, *extensions, *summary)
 	if err == nil && *profPath != "" {
-		err = writeSuiteProfiles(*profPath)
+		err = prof.WritePprofFile(*profPath, "", bench.SuiteProfiles()...)
 	}
 	if ferr := tele.Finish(); err == nil {
 		err = ferr
@@ -117,19 +117,6 @@ func main() {
 		obs.Errorf("%v", err)
 		os.Exit(1)
 	}
-}
-
-func writeSuiteProfiles(path string) error {
-	ps := bench.SuiteProfiles()
-	if len(ps) == 0 {
-		return fmt.Errorf("-profile: the selected mode recorded no measurements")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return prof.WritePprof(f, ps...)
 }
 
 // run dispatches one benchmark mode. Kept separate from main so the

@@ -1,7 +1,8 @@
 // Command slmsc is the source-level compiler CLI: it parses a mini-C
 // program, applies source-level modulo scheduling (and optionally other
 // loop transformations) to its innermost loops, and prints the
-// transformed source.
+// transformed source. Without -slc it runs the request that slmsd's
+// /v1/compile runs (pipeline.Transform), and prints the same source.
 //
 // Usage:
 //
@@ -15,6 +16,11 @@
 //	-speculate        schedule across unproven dependences
 //	-expand=mve|array choose MVE or scalar expansion (§3.3 / §3.4)
 //	-noguard          omit the short-trip guard + fallback loop
+//	-scheduler NAME   profile under the strong final compiler with this
+//	                  modulo scheduling: ims or exact
+//	-effort LEVEL     exact-scheduler effort for -scheduler profiles:
+//	                  quick, standard or max (also selects the strong
+//	                  compiler)
 //	-slc              run the full SLC driver (adds fusion, interchange,
 //	                  downward-loop mirroring and reduction splitting)
 //	-verify           verify every transformation before printing: static
@@ -35,16 +41,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"slms/internal/analysis"
-	"slms/internal/core"
-	"slms/internal/ims"
 	"slms/internal/interp"
-	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
@@ -53,17 +56,14 @@ import (
 )
 
 func main() {
-	paper := flag.Bool("paper", false, "print par groups in paper style (a; || b;)")
-	noFilter := flag.Bool("nofilter", false, "disable the bad-case filter")
-	speculate := flag.Bool("speculate", false, "schedule across unproven dependences")
-	expand := flag.String("expand", "mve", "variant expansion: mve or array")
-	noGuard := flag.Bool("noguard", false, "omit the short-trip guard")
+	var r pipeline.Request
+	r.BindFlags(flag.CommandLine, "paper", "nofilter", "speculate", "expand", "noguard", "scheduler", "effort")
+	flag.Lookup("scheduler").Usage = "profile under the strong final compiler with this modulo scheduling: ims (the heuristic alone) or exact (the heuristic's schedule, exact refutation below its II, and a lower exact schedule kept)"
+	flag.Lookup("effort").Usage = "exact-scheduler effort for -scheduler profiles: quick, standard or max"
 	verbose := flag.Bool("verbose", false, "print the transformation log")
 	useSLC := flag.Bool("slc", false, "run the full source-level-compiler driver (SLMS + fusion/interchange/mirroring/reduction-splitting)")
 	verify := flag.Bool("verify", false, "verify every transformation before printing (static proof, differential fallback)")
 	profPath := flag.String("profile", "", "simulate the transformed program on the reference machine and write its cycle profile (pprof) here")
-	schedName := flag.String("scheduler", "", "profile under the strong final compiler with this modulo scheduling: ims (the heuristic alone) or exact (the heuristic's schedule, exact refutation below its II, and a lower exact schedule kept)")
-	effort := flag.String("effort", "", "exact-scheduler effort for -scheduler profiles: quick, standard or max")
 	tele := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	tele.Activate()
@@ -75,43 +75,23 @@ func main() {
 	if flag.NArg() != 1 {
 		obs.Usagef("usage: slmsc [flags] file.c  (use - for stdin)")
 	}
-	switch *expand {
-	case "mve", "array":
-	default:
-		obs.Usagef("unknown -expand mode %q (want mve or array)", *expand)
-	}
-	if _, err := ims.EffortConfig(*schedName, *effort); err != nil {
+	if err := r.Validate(); err != nil {
 		obs.Usagef("%v", err)
 	}
-	var text []byte
-	var err error
-	if flag.Arg(0) == "-" {
-		text, err = io.ReadAll(os.Stdin)
-	} else {
-		text, err = os.ReadFile(flag.Arg(0))
-	}
-	if err != nil {
-		obs.Fatalf("%v", err)
-	}
-
-	prog, err := source.Parse(string(text))
-	if err != nil {
+	if err := r.ReadSource(flag.Arg(0)); err != nil {
 		obs.Fatalf("%v", err)
 	}
 	sp := obs.Root("slmsc").Attr("file", flag.Arg(0))
 	defer sp.End()
 
-	opts := core.DefaultOptions()
-	opts.Filter = !*noFilter
-	opts.Speculate = *speculate
-	opts.NoGuard = *noGuard
-	if *expand == "array" {
-		opts.Expansion = core.ExpandScalar
-	}
-
+	var out *source.Program
 	if *useSLC {
+		prog, err := source.Parse(r.Source)
+		if err != nil {
+			obs.Fatalf("%v", err)
+		}
 		slcOpts := slc.DefaultOptions()
-		slcOpts.SLMS = opts
+		slcOpts.SLMS = r.CoreOptions()
 		res, err := slc.Optimize(prog, slcOpts)
 		if err != nil {
 			obs.Fatalf("%v", err)
@@ -130,50 +110,41 @@ func main() {
 				obs.Fatalf("verify: original and optimized programs diverge: %v", diffs)
 			}
 		}
-		if *paper {
-			fmt.Print(source.PrintPaper(res.Program))
-		} else {
-			fmt.Print(source.Print(res.Program))
+		out = res.Program
+	} else {
+		prog, transformed, results, err := pipeline.Transform(obs.ContextWithSpan(context.Background(), sp), &r)
+		if err != nil {
+			obs.Fatalf("%v", err)
 		}
-		if *profPath != "" {
-			if err := profileTransformed(*profPath, flag.Arg(0), res.Program, *schedName, *effort); err != nil {
-				obs.Fatalf("%v", err)
+		if *verify {
+			if err := analysis.VerifyTransformed(prog, transformed, results, r.CoreOptions()); err != nil {
+				obs.Fatalf("verify: %v", err)
 			}
 		}
-		return
-	}
-
-	out, results, err := core.TransformProgramSpan(sp, prog, opts)
-	if err != nil {
-		obs.Fatalf("%v", err)
-	}
-	if *verify {
-		if err := analysis.VerifyTransformed(prog, out, results, opts); err != nil {
-			obs.Fatalf("verify: %v", err)
-		}
-	}
-	if *verbose {
-		for i, r := range results {
-			fmt.Fprintf(os.Stderr, "loop %d: applied=%v", i+1, r.Applied)
-			if r.Applied {
-				fmt.Fprintf(os.Stderr, " II=%d MIs=%d stages=%d unroll=%d mode=%s",
-					r.II, r.MIs, r.Stages, r.Unroll, r.Mode)
-			} else {
-				fmt.Fprintf(os.Stderr, " (%s)", r.Reason)
-			}
-			fmt.Fprintln(os.Stderr)
-			for _, l := range r.Log {
-				fmt.Fprintf(os.Stderr, "  %s\n", l)
+		if *verbose {
+			for i, res := range results {
+				fmt.Fprintf(os.Stderr, "loop %d: applied=%v", i+1, res.Applied)
+				if res.Applied {
+					fmt.Fprintf(os.Stderr, " II=%d MIs=%d stages=%d unroll=%d mode=%s",
+						res.II, res.MIs, res.Stages, res.Unroll, res.Mode)
+				} else {
+					fmt.Fprintf(os.Stderr, " (%s)", res.Reason)
+				}
+				fmt.Fprintln(os.Stderr)
+				for _, l := range res.Log {
+					fmt.Fprintf(os.Stderr, "  %s\n", l)
+				}
 			}
 		}
+		out = transformed
 	}
-	if *paper {
+	if r.Paper {
 		fmt.Print(source.PrintPaper(out))
 	} else {
 		fmt.Print(source.Print(out))
 	}
 	if *profPath != "" {
-		if err := profileTransformed(*profPath, flag.Arg(0), out, *schedName, *effort); err != nil {
+		if err := profileTransformed(*profPath, flag.Arg(0), out, &r); err != nil {
 			obs.Fatalf("%v", err)
 		}
 	}
@@ -186,27 +157,17 @@ func main() {
 // compiler, the only class that runs machine-level modulo scheduling,
 // with that backend. Cross-machine or base-vs-slms profiling lives in
 // cmd/slmsprof.
-func profileTransformed(path, label string, p *source.Program, scheduler, effort string) error {
+func profileTransformed(path, label string, p *source.Program, r *pipeline.Request) error {
 	if label == "-" {
 		label = "stdin"
 	}
-	cc := pipeline.WeakO3
-	if scheduler != "" || effort != "" {
-		cc = pipeline.StrongO3
-		cc.Scheduler, cc.Effort = scheduler, effort
+	if r.Scheduler != "" || r.Effort != "" {
+		r.Compiler = "strong"
 	}
-	m, _, err := pipeline.Run(p, machine.IA64Like(), cc, interp.NewEnv())
+	d, cc, _ := r.Target() // validated in main
+	m, _, err := pipeline.Run(p, d, cc, interp.NewEnv())
 	if err != nil {
 		return fmt.Errorf("-profile: %w", err)
 	}
-	if m.Profile == nil {
-		return fmt.Errorf("-profile: simulation recorded no profile")
-	}
-	m.Profile.Label = label
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return prof.WritePprof(f, m.Profile)
+	return prof.WritePprofFile(path, label, m.Profile)
 }

@@ -15,18 +15,21 @@
 //	-trace FILE                write a pipeline trace at exit
 //	-trace-format chrome|jsonl trace file format (default chrome)
 //	-metrics FILE              write a metrics dump at exit ("-" = stdout)
+//	-request-id ID             stamp spans and decision records with this ID
 //	-q                         suppress status output
 //
 // Every loop's report ends with its decision record: the stable SLMS2xx
 // code, the accept/skip verdict, and the measured evidence (filter
-// ratio, II search iterations) the decision rests on.
+// ratio, II search iterations) the decision rests on. The loops are the
+// ones slmsc and /v1/compile transform (pipeline.Transform at the
+// paper's defaults), and every block of the report is printed in a
+// fixed order, so reruns print the same bytes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -34,6 +37,7 @@ import (
 	"slms/internal/ddg"
 	"slms/internal/mii"
 	"slms/internal/obs"
+	"slms/internal/pipeline"
 	"slms/internal/sem"
 	"slms/internal/source"
 )
@@ -48,25 +52,15 @@ func main() {
 	if flag.NArg() != 1 {
 		obs.Usagef("usage: slmsexplain file.c  (use - for stdin)")
 	}
-	var text []byte
-	var err error
-	if flag.Arg(0) == "-" {
-		text, err = io.ReadAll(os.Stdin)
-	} else {
-		text, err = os.ReadFile(flag.Arg(0))
-	}
-	if err != nil {
-		obs.Fatalf("%v", err)
-	}
-	prog, err := source.Parse(string(text))
-	if err != nil {
+	var r pipeline.Request
+	if err := r.ReadSource(flag.Arg(0)); err != nil {
 		obs.Fatalf("%v", err)
 	}
 	sp := obs.Root("slmsexplain").Attr("file", flag.Arg(0))
 	defer sp.End()
 	// The compiler's own site walk and per-loop results: every loop is
 	// explained as the compiler decided it, under its enclosing guards.
-	_, results, err := core.TransformProgramSpan(sp, prog, core.DefaultOptions())
+	_, _, results, err := pipeline.Transform(obs.ContextWithSpan(context.Background(), sp), &r)
 	if err != nil {
 		obs.Fatalf("%v", err)
 	}
@@ -151,7 +145,13 @@ func explainLoop(r *core.Result, idx int) {
 		}
 		if len(an.Scalars) > 0 {
 			fmt.Println("scalars:")
-			for _, si := range an.Scalars {
+			names := make([]string, 0, len(an.Scalars))
+			for name := range an.Scalars {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				si := an.Scalars[name]
 				fmt.Printf("  %-10s %s (defs=%v reads=%v exposed=%v)\n",
 					si.Name, si.Class, si.Defs, si.Reads, si.ExposedReads)
 			}

@@ -4,7 +4,9 @@
 // cause (issue, hazard-stall, l1-miss, pipeline-fill,
 // prologue-epilogue, branch) — plus per-loop schedule-quality metrics
 // (II vs MII, issue-slot utilization, register pressure, fill/drain
-// overhead) joined with the SLMS2xx scheduling decision records.
+// overhead) joined with the SLMS2xx scheduling decision records. It
+// runs the request that slmsd's /v1/profile runs (pipeline.Measure
+// under cycle attribution).
 //
 // Usage:
 //
@@ -15,10 +17,18 @@
 //	-machine ia64|power4|pentium|arm7   target machine (default ia64)
 //	-compiler weak|strong               final compiler class (default weak)
 //	-O0                                 disable compiler scheduling
+//	-scheduler ims|exact                modulo scheduling for strong compiles
+//	                                    (default ims)
+//	-effort quick|standard|max          exact-scheduler effort (under ims, also
+//	                                    proves the optimality gap)
 //	-format text|json|pprof             output format (default text)
 //	-top N                              lines per hot-line table (default 20)
 //	-o FILE                             output file (default stdout)
 //	-base-only                          profile only the untransformed leg
+//	-trace FILE                         write a pipeline trace at exit
+//	-metrics FILE                       write a metrics dump at exit ("-" = stdout)
+//	-request-id ID                      stamp spans and decision records with this
+//	                                    request ID (bare ID or W3C traceparent)
 //	-q                                  suppress status output
 //
 // The pprof format is the standard gzipped profile.proto, so
@@ -30,26 +40,20 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 
-	"slms/internal/core"
-	"slms/internal/ims"
-	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
-	"slms/internal/source"
 )
 
 func main() {
-	machineName := flag.String("machine", "ia64", "ia64, power4, pentium or arm7")
-	compiler := flag.String("compiler", "weak", "weak (GCC-like) or strong (ICC/XLC-like)")
-	o0 := flag.Bool("O0", false, "disable compiler scheduling")
-	scheduler := flag.String("scheduler", "", "modulo scheduling for strong compiles: ims (the heuristic alone, default) or exact (the heuristic's schedule, exact refutation below its II, and a lower exact schedule kept)")
-	effort := flag.String("effort", "", "exact-scheduler effort: quick, standard or max (under ims, also proves the optimality gap)")
+	var r pipeline.Request
+	r.BindFlags(flag.CommandLine, "machine", "compiler", "O0", "scheduler", "effort")
 	format := flag.String("format", "text", "text, json or pprof")
 	top := flag.Int("top", 20, "lines per hot-line table (text format)")
 	outPath := flag.String("o", "", "output file (default stdout)")
@@ -72,48 +76,25 @@ func main() {
 	}
 	// Resolve flag values before doing any work: a bad machine or
 	// compiler name is a usage error (exit 2), not a failed run.
-	d, err := machine.ByName(*machineName)
-	if err != nil {
+	if err := r.Validate(); err != nil {
 		obs.Usagef("%v", err)
 	}
-	cc, err := pipeline.CompilerByName(*compiler, *o0)
-	if err != nil {
-		obs.Usagef("%v", err)
+	d, cc, _ := r.Target() // Validate resolved it
+	if err := r.ReadSource(flag.Arg(0)); err != nil {
+		obs.Fatalf("%v", err)
 	}
-	if _, err := ims.EffortConfig(*scheduler, *effort); err != nil {
-		obs.Usagef("%v", err)
-	}
-	cc.Scheduler, cc.Effort = *scheduler, *effort
-
-	label := flag.Arg(0)
-	var text []byte
-	if label == "-" {
+	label := filepath.Base(flag.Arg(0))
+	if flag.Arg(0) == "-" {
 		label = "stdin"
-		text, err = io.ReadAll(os.Stdin)
-	} else {
-		text, err = os.ReadFile(label)
-		label = filepath.Base(label)
-	}
-	if err != nil {
-		obs.Fatalf("%v", err)
-	}
-	prog, err := source.Parse(string(text))
-	if err != nil {
-		obs.Fatalf("%v", err)
 	}
 
 	prof.SetEnabled(true)
 	sp := obs.Root("slmsprof").Attr("machine", d.Name).Attr("compiler", cc.Name)
-	outs, errs, err := pipeline.RunExperimentsSpan(sp, prog, d, cc,
-		[]core.Options{core.DefaultOptions()}, nil)
+	out, err := pipeline.Measure(obs.ContextWithSpan(context.Background(), sp), &r)
 	sp.End()
-	if err == nil {
-		err = errs[0]
-	}
 	if err != nil {
 		obs.Fatalf("%v", err)
 	}
-	out := outs[0]
 
 	var ps []*prof.Profile
 	collect := func(p *prof.Profile) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -102,7 +103,7 @@ func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome
 	altOpts.Expansion = core.ExpandScalar
 	// One shared base run for both variants (the untransformed leg does
 	// not depend on the SLMS options).
-	outs, errs, err := pipeline.RunExperimentsSpan(sp, prog, d, cc,
+	outs, errs, err := pipeline.RunExperimentsCtx(obs.ContextWithSpan(context.TODO(), sp), prog, d, cc,
 		[]core.Options{core.DefaultOptions(), altOpts}, k.Setup)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)

@@ -71,7 +71,7 @@ func TestRunExperimentsCtxCancelPropagates(t *testing.T) {
 	prog := parseLong(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errs, err := RunExperimentsCtx(ctx, nil, prog, machine.ARM7Like(), WeakO3,
+	_, errs, err := RunExperimentsCtx(ctx, prog, machine.ARM7Like(), WeakO3,
 		[]core.Options{core.DefaultOptions()}, nil)
 	if err == nil && (len(errs) == 0 || errs[0] == nil) {
 		t.Fatal("canceled experiment reported no error")

@@ -280,31 +280,25 @@ func applyOrder(b *ir.Block, cycleOf []int) {
 // so repeated runs of the same (program, machine, compiler) triple
 // share one immutable artifact.
 func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	m, art, err := runTimed(context.Background(), nil, p, d, cc, env)
-	return m, art, err
+	return runTimed(context.Background(), p, d, cc, env)
 }
 
 // RunCtx is Run honoring a context: compilation checks the deadline
 // between scheduling rounds (uncached path) and the simulator polls it
 // every few thousand instructions, so a request deadline stops the
-// pipeline mid-simulation instead of after it.
-func RunCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	m, art, err := runTimed(ctx, nil, p, d, cc, env)
-	return m, art, err
-}
-
-// RunSpan is Run under a parent trace span: "compile" (with the cache
+// pipeline mid-simulation instead of after it. Under a span carried by
+// ctx (obs.ContextWithSpan), the run records "compile" (with the cache
 // outcome) and "sim" (with the simulated cycle count) child spans, each
 // also feeding the phase.compile / phase.sim duration histograms.
-func RunSpan(sp *obs.Span, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	m, art, err := runTimed(context.Background(), sp, p, d, cc, env)
-	return m, art, err
+func RunCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
+	return runTimed(ctx, p, d, cc, env)
 }
 
-// runTimed is the span-threaded compile+simulate core: "compile" and
-// "sim" child spans under sp, each feeding its phase histogram.
-func runTimed(ctx context.Context, sp *obs.Span, p *source.Program, d *machine.Desc, cc Compiler,
+// runTimed is the compile+simulate core: "compile" and "sim" child
+// spans under the span ctx carries, each feeding its phase histogram.
+func runTimed(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler,
 	env *interp.Env) (m *sim.Metrics, art *Artifact, err error) {
+	sp := obs.SpanFrom(ctx)
 	obs.Time(sp, "compile", func(csp *obs.Span) {
 		art, err = compileForCachedCtxSpan(ctx, csp, p, d, cc)
 	})
@@ -321,7 +315,7 @@ func runTimed(ctx context.Context, sp *obs.Span, p *source.Program, d *machine.D
 		return nil, nil, fmt.Errorf("pipeline: %w\n%s", err, art.Func.Dump())
 	}
 	// Standalone runs (slmssim, slmsc -profile) get loop stats without
-	// decision records; RunExperimentsSpan re-annotates with them.
+	// decision records; RunExperimentsCtx re-annotates with them.
 	annotateProfile(m, art, d, cc, "", nil)
 	return m, art, nil
 }
@@ -370,31 +364,27 @@ func RunExperiment(prog *source.Program, ex Experiment, seed func(*interp.Env)) 
 // that invalidates every option set.
 func RunExperiments(prog *source.Program, d *machine.Desc, cc Compiler,
 	optsList []core.Options, seed func(*interp.Env)) ([]*Outcome, []error, error) {
-	return RunExperimentsCtx(context.Background(), nil, prog, d, cc, optsList, seed)
+	return RunExperimentsCtx(context.Background(), prog, d, cc, optsList, seed)
 }
 
-// RunExperimentsSpan is RunExperiments under a parent trace span: the
-// base leg and each option set's transform/verify/compile/sim/compare
-// phases become child spans, each feeding its phase histogram.
-func RunExperimentsSpan(sp *obs.Span, prog *source.Program, d *machine.Desc, cc Compiler,
-	optsList []core.Options, seed func(*interp.Env)) ([]*Outcome, []error, error) {
-	return RunExperimentsCtx(context.Background(), sp, prog, d, cc, optsList, seed)
-}
-
-// RunExperimentsCtx is RunExperimentsSpan honoring a context: every
+// RunExperimentsCtx is RunExperiments honoring a context: every
 // simulation leg polls the deadline as it runs, and the driver checks it
 // between phases, so one request deadline bounds the whole measurement.
 // Cached phases (transform, cached compiles) complete regardless — their
 // results are shared across requests — but the loop stops before
-// starting the next leg once the context is done.
-func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, d *machine.Desc, cc Compiler,
+// starting the next leg once the context is done. Under a span carried
+// by ctx, the base leg and each option set's
+// transform/verify/compile/sim/compare phases become child spans, each
+// feeding its phase histogram.
+func RunExperimentsCtx(ctx context.Context, prog *source.Program, d *machine.Desc, cc Compiler,
 	optsList []core.Options, seed func(*interp.Env)) ([]*Outcome, []error, error) {
+	sp := obs.SpanFrom(ctx)
 	envBase := interp.NewEnv()
 	if seed != nil {
 		seed(envBase)
 	}
 	baseSp := sp.Child("base")
-	mBase, artBase, err := runTimed(ctx, baseSp, prog, d, cc, envBase)
+	mBase, artBase, err := runTimed(obs.ContextWithSpan(ctx, baseSp), prog, d, cc, envBase)
 	baseSp.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("base run: %w", err)
@@ -452,7 +442,7 @@ func RunExperimentsCtx(ctx context.Context, sp *obs.Span, prog *source.Program, 
 		if seed != nil {
 			seed(envSLMS)
 		}
-		mSLMS, artSLMS, err := runTimed(ctx, legSp, transformed, d, cc, envSLMS)
+		mSLMS, artSLMS, err := runTimed(obs.ContextWithSpan(ctx, legSp), transformed, d, cc, envSLMS)
 		if err != nil {
 			errs[i] = fmt.Errorf("slms run: %w", err)
 			legSp.End()

@@ -2,8 +2,38 @@ package prof
 
 import (
 	"compress/gzip"
+	"fmt"
 	"io"
+	"os"
 )
+
+// WritePprofFile writes the non-nil profiles to path as one pprof
+// protobuf (see WritePprof), labeling each unlabeled profile with
+// label. It fails without creating the file when every profile is nil.
+func WritePprofFile(path, label string, ps ...*Profile) error {
+	var keep []*Profile
+	for _, p := range ps {
+		if p == nil {
+			continue
+		}
+		if p.Label == "" {
+			p.Label = label
+		}
+		keep = append(keep, p)
+	}
+	if len(keep) == 0 {
+		return fmt.Errorf("%s: no run recorded a cycle profile", path)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WritePprof(f, keep...); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WritePprof encodes the profiles as a gzipped pprof profile.proto
 // blob, the format `go tool pprof` reads. The encoder is hand-rolled

@@ -230,6 +230,10 @@ func TestContractErrors(t *testing.T) {
 		{"err_bad_threshold", "/v1/compile", `{"source": "x = 1;", "options": {"threshold": 7.5}}`, 400},
 		{"err_bad_machine", "/v1/schedule", `{"source": "x = 1;", "machine": "cray1"}`, 400},
 		{"err_bad_compiler", "/v1/schedule", `{"source": "x = 1;", "compiler": "llvm"}`, 400},
+		// Every field is validated on every endpoint, including the ones
+		// whose computation does not read it.
+		{"err_bad_machine_compile", "/v1/compile", `{"source": "x = 1;", "machine": "cray1"}`, 400},
+		{"err_bad_compiler_explain", "/v1/explain", `{"source": "x = 1;", "compiler": "llvm"}`, 400},
 		{"err_parse", "/v1/compile", jsonBody("for (i = 0; i < 10; i++) {\n\tA[i] = ;\n}\n", ""), 422},
 		{"err_semantic", "/v1/schedule", jsonBody("B[0] = A[5];\n", ""), 422},
 	}

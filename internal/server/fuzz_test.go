@@ -37,6 +37,8 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add(`{"source": "x = 1;", "timeout_ms": -1}`)
 	f.Add(`{"source": "x = 1;", "options": {"expansion": "sideways"}}`)
 	f.Add(`{"source": "x = 1;", "options": {"threshold": 2.0}}`)
+	f.Add(`{"source": "x = 1;", "machine": "cray1"}`)
+	f.Add(`{"source": "x = 1;", "compiler": "llvm", "o0": true}`)
 	f.Add(`[]`)
 	f.Add(`null`)
 	f.Add("")
@@ -60,27 +62,28 @@ func FuzzRequestDecode(f *testing.F) {
 		if strings.TrimSpace(req.Source) == "" {
 			t.Fatalf("accepted request with empty source")
 		}
-		// Everything derived from an accepted request must be total.
-		req.coreOptions()
-		if _, _, aerr := req.target(); aerr != nil && aerr.status != 400 {
-			t.Fatalf("target() status = %d, want 400", aerr.status)
+		// Everything derived from an accepted request must be total:
+		// Validate ran at decode, so resolving the target never fails.
+		req.CoreOptions()
+		if _, _, err := req.Target(); err != nil {
+			t.Fatalf("accepted request's Target() failed: %v", err)
 		}
-		if _, aerr := req.deadline(time.Second, time.Minute); aerr != nil && aerr.status != 400 {
-			t.Fatalf("deadline() status = %d, want 400", aerr.status)
+		if _, aerr := requestDeadline(req, time.Second, time.Minute); aerr != nil && aerr.status != 400 {
+			t.Fatalf("requestDeadline status = %d, want 400", aerr.status)
 		}
 		// The cache key must be deterministic and endpoint-scoped.
-		fp1 := req.fingerprint("compile")
-		fp2 := req.fingerprint("compile")
+		fp1 := req.Fingerprint("compile")
+		fp2 := req.Fingerprint("compile")
 		if fp1 != fp2 {
 			t.Fatalf("fingerprint not deterministic: %s vs %s", fp1, fp2)
 		}
-		if fp1 == req.fingerprint("schedule") {
+		if fp1 == req.Fingerprint("schedule") {
 			t.Fatalf("fingerprint ignores the endpoint")
 		}
 		// The deadline must not leak into the key.
 		canon := *req
 		canon.TimeoutMS = req.TimeoutMS + 1000
-		if canon.fingerprint("compile") != fp1 {
+		if canon.Fingerprint("compile") != fp1 {
 			t.Fatalf("fingerprint depends on timeout_ms")
 		}
 	})

@@ -7,7 +7,6 @@ import (
 
 	"slms/internal/analysis"
 	"slms/internal/core"
-	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
 	"slms/internal/sim"
@@ -97,19 +96,12 @@ type CompileResponse struct {
 	Loops   []LoopReport `json:"loops"`
 }
 
-// handleCompile runs the SLMS transformation alone: source in,
-// pipelined source out. No machine simulation.
+// handleCompile replies with pipeline.Transform: source in, pipelined
+// source out. No machine simulation.
 func (s *Server) handleCompile(ctx context.Context, req *Request) (any, *apiError) {
-	prog, err := source.Parse(req.Source)
-	if err != nil {
-		return nil, errSourceInvalid(err)
-	}
-	out, results, err := core.TransformProgramCachedSpan(obs.SpanFrom(ctx), prog, req.coreOptions())
+	_, out, results, err := pipeline.Transform(ctx, req)
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, ctxError(ctx, cerr)
 	}
 	resp := &CompileResponse{Loops: loopReports(results)}
 	for _, r := range results {
@@ -138,26 +130,15 @@ type ScheduleResponse struct {
 	Loops       []LoopReport   `json:"loops"`
 }
 
-// handleSchedule compiles and simulates the program twice — untouched
-// and SLMS-transformed — on the requested machine/compiler pair.
+// handleSchedule replies with pipeline.Measure: the program compiled
+// and simulated twice — untouched and SLMS-transformed — on the
+// requested machine/compiler pair.
 func (s *Server) handleSchedule(ctx context.Context, req *Request) (any, *apiError) {
-	d, cc, aerr := req.target()
-	if aerr != nil {
-		return nil, aerr
-	}
-	prog, err := source.Parse(req.Source)
-	if err != nil {
-		return nil, errSourceInvalid(err)
-	}
-	outs, errs, err := pipeline.RunExperimentsCtx(ctx, obs.SpanFrom(ctx), prog, d, cc,
-		[]core.Options{req.coreOptions()}, nil)
+	o, err := pipeline.Measure(ctx, req)
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
 	}
-	if errs[0] != nil {
-		return nil, classifyPipelineErr(ctx, errs[0])
-	}
-	o := outs[0]
+	d, cc, _ := req.Target() // validated at decode
 	return &ScheduleResponse{
 		Machine:     d.Name,
 		Compiler:    cc.Name,
@@ -178,40 +159,18 @@ type ExplainResponse struct {
 	Loops       []LoopReport     `json:"loops"`
 }
 
-// handleExplain lints the program: transforms every innermost loop once
-// through the pipeline cache, verifies each application (static checker
-// + differential harness), and reports why each loop was accepted or
-// rejected.
+// handleExplain replies with pipeline.Explain: why each loop was
+// accepted or rejected and the translation validator's verdict on each
+// application, plus, when the request sets an effort, the machine-level
+// optimality audit (one SLMS31x diagnostic per modulo-scheduled loop).
 func (s *Server) handleExplain(ctx context.Context, req *Request) (any, *apiError) {
-	prog, err := source.Parse(req.Source)
-	if err != nil {
-		return nil, errSourceInvalid(err)
-	}
-	opts := req.coreOptions()
-	out, results, err := core.TransformProgramCachedSpan(obs.SpanFrom(ctx), prog, opts)
+	report, results, err := pipeline.Explain(ctx, req, false, 0)
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
-	}
-	report := analysis.LintTransformed("request", prog, out, results, analysis.LintOptions{Core: opts})
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, ctxError(ctx, cerr)
 	}
 	diags := report.Diags
 	if diags == nil {
 		diags = []analysis.Diag{}
-	}
-	// An explicit effort opts the request into the machine-level
-	// optimality audit: one SLMS31x diagnostic per modulo-scheduled loop.
-	if req.Effort != "" {
-		d, _, aerr := req.target()
-		if aerr != nil {
-			return nil, aerr
-		}
-		optDiags, err := analysis.Optgap(prog, analysis.OptgapOptions{Machine: d, Effort: req.Effort})
-		if err != nil {
-			return nil, classifyPipelineErr(ctx, err)
-		}
-		diags = append(diags, optDiags...)
 	}
 	return &ExplainResponse{
 		Diagnostics: diags,
@@ -262,28 +221,16 @@ func releaseProfiling() {
 	}
 }
 
-// handleProfile runs /v1/schedule's experiment with cycle attribution
-// enabled and returns both legs' profiles.
+// handleProfile replies with /v1/schedule's pipeline.Measure run under
+// cycle attribution: both legs' profiles.
 func (s *Server) handleProfile(ctx context.Context, req *Request) (any, *apiError) {
-	d, cc, aerr := req.target()
-	if aerr != nil {
-		return nil, aerr
-	}
-	prog, err := source.Parse(req.Source)
-	if err != nil {
-		return nil, errSourceInvalid(err)
-	}
 	acquireProfiling()
 	defer releaseProfiling()
-	outs, errs, err := pipeline.RunExperimentsCtx(ctx, obs.SpanFrom(ctx), prog, d, cc,
-		[]core.Options{req.coreOptions()}, nil)
+	o, err := pipeline.Measure(ctx, req)
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
 	}
-	if errs[0] != nil {
-		return nil, classifyPipelineErr(ctx, errs[0])
-	}
-	o := outs[0]
+	d, cc, _ := req.Target() // validated at decode
 	resp := &ProfileResponse{
 		Machine:  d.Name,
 		Compiler: cc.Name,

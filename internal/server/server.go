@@ -342,7 +342,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 			fail(aerr)
 			return
 		}
-		budget, aerr := req.deadline(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+		budget, aerr := requestDeadline(req, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 		if aerr != nil {
 			fail(aerr)
 			return
@@ -360,7 +360,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		defer sp.End()
 		ctx = obs.ContextWithSpan(ctx, sp)
 
-		key := req.fingerprint(name)
+		key := req.Fingerprint(name)
 		o.Fingerprint = key
 		resp, hit, aerr := s.cache.do(ctx, key, func() (*cachedResponse, *apiError) {
 			if aerr := s.adm.acquire(ctx); aerr != nil {
