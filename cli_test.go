@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -214,6 +215,26 @@ for (i = 1; i < 190; i++) { t = A[i-1]; B[i] = B[i] + t; }
 	out2, _ := runTool(t, bin, prog, "-machine", "arm7", "-")
 	if !strings.Contains(out2, "cycles=") {
 		t.Errorf("metrics missing:\n%s", out2)
+	}
+
+	// A strong compile of a program with several pipelined loops prints
+	// one line per loop body, in block order, so repeated runs print the
+	// same bytes. Map order put the later loop first in about one run in
+	// eight, so the test runs the command many times.
+	multiloop := filepath.Join("internal", "core", "testdata", "multiloop.c")
+	first, _ := runTool(t, bin, "", "-q", "-compiler", "strong", multiloop)
+	for run := 2; run <= 32; run++ {
+		if again, _ := runTool(t, bin, "", "-q", "-compiler", "strong", multiloop); again != first {
+			t.Fatalf("slmssim %s run %d differs from run 1:\n%s\n--- run 1 ---\n%s", multiloop, run, again, first)
+		}
+	}
+	var bodies []int
+	for _, m := range regexp.MustCompile(`loop body b(\d+):`).FindAllStringSubmatch(first, -1) {
+		id, _ := strconv.Atoi(m[1])
+		bodies = append(bodies, id)
+	}
+	if len(bodies) < 2 || !sort.IntsAreSorted(bodies) {
+		t.Errorf("slmssim %s reported loop bodies %v, want at least 2 in block order:\n%s", multiloop, bodies, first)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 
 	"slms/internal/analysis"
 	"slms/internal/interp"
@@ -122,7 +123,13 @@ func main() {
 			art.Alloc.SpilledRegs, m.SpillLoads, m.SpillStores,
 			art.Alloc.MaxLiveInt, art.Alloc.MaxLiveFloat)
 	}
-	for id, res := range art.IMSResults {
+	bodies := make([]int, 0, len(art.IMSResults))
+	for id := range art.IMSResults {
+		bodies = append(bodies, id)
+	}
+	slices.Sort(bodies)
+	for _, id := range bodies {
+		res := art.IMSResults[id]
 		if res.OK {
 			fmt.Printf("loop body b%d: modulo scheduled II=%d SL=%d stages=%d (ResMII=%d RecMII=%d)\n",
 				id, res.II, res.SL, res.Stages, res.ResMII, res.RecMII)

@@ -180,12 +180,10 @@ func TestListScheduleRespectsDepsAndResources(t *testing.T) {
 		}
 	`)
 	s := ListSchedule(body, d, true, 0)
-	// Dependences: every RAW pair must be separated by the latency.
-	sc := getScratch(body.Instrs)
-	edges := sc.blockDeps(body.Instrs, d, true)
-	defer sc.release(body.Instrs)
-	for _, e := range edges {
-		if s.CycleOf[e.to] < s.CycleOf[e.from]+e.lat {
+	// Dependences: every ordering constraint, not only the reduced DAG's
+	// edges, must be separated by its latency.
+	for _, e := range refBlockDeps(body.Instrs, d, true) {
+		if s.CycleOf[e.to] < s.CycleOf[e.from]+int(e.lat) {
 			t.Errorf("schedule violates edge %d->%d (lat %d): %d vs %d",
 				e.from, e.to, e.lat, s.CycleOf[e.from], s.CycleOf[e.to])
 		}

@@ -25,10 +25,10 @@ type BlockSched struct {
 	Bundles int
 }
 
-// depEdge is a scheduling dependence within a block.
+// depEdge is a scheduling dependence within a block: to may issue no
+// earlier than lat cycles after from.
 type depEdge struct {
-	from, to int
-	lat      int
+	from, to, lat int32
 }
 
 // scratch is the block schedulers' working memory. Virtual registers are
@@ -37,8 +37,8 @@ type depEdge struct {
 // register, grown on demand and kept clean between blocks by resetting
 // only the registers a block mentions. A block then costs O(its
 // instructions + edges), not O(its highest register). Buffers are pooled
-// process-wide: blocks with many memory ops produce O(n²) edges, and a
-// scratch per compilation would regrow them for every compile.
+// process-wide, so after warm-up a block allocates nothing here: the
+// buffers grow to the largest block served.
 type scratch struct {
 	// Per register. Outside a call every entry holds the value in
 	// parentheses: getScratch grows the arrays with it, and release
@@ -53,8 +53,16 @@ type scratch struct {
 	// node k is a use by instruction useInstr[k], followed by useNext[k].
 	useInstr, useNext []int
 	uses              []int // an instruction's registers read
-	mems              []int // the block's memory ops so far
 	edges             []depEdge
+	hasSucc           []bool // blockDeps: the instruction has an out-edge
+
+	// blockDeps, per array the block accesses (numbered by arrayOf,
+	// which is empty outside a call): the last store (-1), and the head
+	// (-1) of a list over memInstr/memNext holding, newest first, the
+	// loads since that store (tags off) or every access so far (tags on).
+	arrayOf            map[string]int
+	lastStore, memHead []int
+	memInstr, memNext  []int
 
 	// ListSchedule, per instruction. succs holds the edges bucketed by
 	// source: instruction i's are succs[succOff[i]:succOff[i+1]].
@@ -65,20 +73,32 @@ type scratch struct {
 	ready, rest              []int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{arrayOf: map[string]int{}}
+}}
 
 // getScratch takes a scratch from the pool with its per-register arrays
 // covering every register ins mentions.
 func getScratch(ins []*ir.Instr) *scratch {
 	s := scratchPool.Get().(*scratch)
-	for n := maxRegOf(ins) + 1; len(s.lastDef) < n; {
-		s.lastDef = append(s.lastDef, -1)
-		s.useHead = append(s.useHead, -1)
-		s.regReady = append(s.regReady, 0)
-		s.defCycle = append(s.defCycle, -1)
-		s.defLat = append(s.defLat, 0)
+	if n := maxRegOf(ins) + 1; len(s.lastDef) < n {
+		s.lastDef = fill(s.lastDef, n, -1)
+		s.useHead = fill(s.useHead, n, -1)
+		s.regReady = fill(s.regReady, n, 0)
+		s.defCycle = fill(s.defCycle, n, -1)
+		s.defLat = fill(s.defLat, n, 0)
 	}
 	return s
+}
+
+// fill extends buf to n entries, each new one v, growing it at most
+// once.
+func fill(buf []int, n, v int) []int {
+	buf = slices.Grow(buf, n-len(buf))
+	for len(buf) < n {
+		buf = append(buf, v)
+	}
+	return buf
 }
 
 // release resets the per-register state of every register ins mentions
@@ -115,15 +135,43 @@ func zeroed[T any](buf []T, n int) []T {
 // affine memory disambiguation (the strong-compiler front end forwards
 // subscript analysis to the back end); without it any two accesses to
 // the same array conflict.
+//
+// The DAG is transitively reduced where the all-pairs one is quadratic.
+// Every ordering constraint u→w it leaves out is implied by a kept path
+// u→…→w whose latencies sum to at least lat(u, w), so every height and
+// ready time list computes is the all-pairs DAG's:
+//   - With tags off, an access needs an edge only from its array's last
+//     store, and a store also from the loads since that store: an older
+//     access reaches it through that store. The edges are then linear
+//     in the block's instructions.
+//   - With tags on, the conflict test stays pairwise but scans only the
+//     same array's accesses, newest first, and stops at the first
+//     conflicting store without a tag (a spill store, say): every older
+//     access conflicts with that store and reaches the access through it.
+//     Tagged accesses to one array are still tested, and may still
+//     conflict, pairwise.
+//   - The terminating branch needs an edge only from instructions that
+//     have no successor yet; any other reaches it through one that has
+//     none.
 func (s *scratch) blockDeps(ins []*ir.Instr, d *machine.Desc, useTags bool) []depEdge {
-	edges, mems := s.edges[:0], s.mems[:0]
-	useInstr, useNext := s.useInstr[:0], s.useNext[:0]
+	// Sized once for the block: an instruction reads a few registers,
+	// makes at most one access and, in the reduced DAG, has a few edges.
+	n := len(ins)
+	edges := slices.Grow(s.edges[:0], 3*n)
+	hasSucc := zeroed(s.hasSucc, n)
+	add := func(from, to, lat int) {
+		edges = append(edges, depEdge{int32(from), int32(to), int32(lat)})
+		hasSucc[from] = true
+	}
+	useInstr, useNext := slices.Grow(s.useInstr[:0], 2*n), slices.Grow(s.useNext[:0], 2*n)
+	lastStore, memHead := s.lastStore[:0], s.memHead[:0]
+	memInstr, memNext := slices.Grow(s.memInstr[:0], n), slices.Grow(s.memNext[:0], n)
 	for j, in := range ins {
 		// Register dependences.
 		s.uses = in.AppendUses(s.uses[:0])
 		for _, r := range s.uses {
 			if i := s.lastDef[r]; i >= 0 {
-				edges = append(edges, depEdge{i, j, d.Latency(ins[i])}) // RAW
+				add(i, j, d.Latency(ins[i])) // RAW
 			}
 			useInstr = append(useInstr, j)
 			useNext = append(useNext, s.useHead[r])
@@ -131,43 +179,75 @@ func (s *scratch) blockDeps(ins []*ir.Instr, d *machine.Desc, useTags bool) []de
 		}
 		if r := in.Dst; r >= 0 {
 			if i := s.lastDef[r]; i >= 0 {
-				edges = append(edges, depEdge{i, j, 1}) // WAW
+				add(i, j, 1) // WAW
 			}
 			for k := s.useHead[r]; k >= 0; k = useNext[k] {
 				if u := useInstr[k]; u != j {
-					edges = append(edges, depEdge{u, j, 0}) // WAR
+					add(u, j, 0) // WAR
 				}
 			}
 			s.lastDef[r] = j
 			s.useHead[r] = -1
 		}
-		// Memory dependences.
+		// Memory dependences: store→load/store edges carry the store
+		// latency, load→store edges none.
 		if in.Op.IsMem() {
-			for k := len(mems) - 1; k >= 0; k-- {
-				i := mems[k]
-				p := ins[i]
-				if p.Op == ir.Load && in.Op == ir.Load {
-					continue
-				}
-				if !memConflict(p, in, useTags) {
-					continue
-				}
-				lat := 0
-				if p.Op == ir.Store {
-					lat = d.Lat.Store // store→load/store ordering
-				}
-				edges = append(edges, depEdge{i, j, lat})
+			a, ok := s.arrayOf[in.Arr]
+			if !ok {
+				a = len(lastStore)
+				s.arrayOf[in.Arr] = a
+				lastStore = append(lastStore, -1)
+				memHead = append(memHead, -1)
 			}
-			mems = append(mems, j)
+			isStore := in.Op == ir.Store
+			switch {
+			case useTags:
+				for k := memHead[a]; k >= 0; k = memNext[k] {
+					i := memInstr[k]
+					p := ins[i]
+					if p.Op == ir.Load && !isStore || !memConflict(p, in, true) {
+						continue
+					}
+					lat := 0
+					if p.Op == ir.Store {
+						lat = d.Lat.Store
+					}
+					add(i, j, lat)
+					if p.Op == ir.Store && !p.Tag.Valid {
+						break // every earlier access reaches j through p
+					}
+				}
+			case isStore:
+				if i := lastStore[a]; i >= 0 {
+					add(i, j, d.Lat.Store)
+				}
+				for k := memHead[a]; k >= 0; k = memNext[k] {
+					add(memInstr[k], j, 0)
+				}
+				lastStore[a], memHead[a] = j, -1
+			default:
+				if i := lastStore[a]; i >= 0 {
+					add(i, j, d.Lat.Store)
+				}
+			}
+			if useTags || !isStore {
+				memInstr = append(memInstr, j)
+				memNext = append(memNext, memHead[a])
+				memHead[a] = len(memInstr) - 1
+			}
 		}
 		// Everything stays before the terminating branch.
 		if in.Op.IsBranch() {
 			for i := 0; i < j; i++ {
-				edges = append(edges, depEdge{i, j, 0})
+				if !hasSucc[i] {
+					add(i, j, 0)
+				}
 			}
 		}
 	}
-	s.edges, s.mems, s.useInstr, s.useNext = edges, mems, useInstr, useNext
+	clear(s.arrayOf)
+	s.edges, s.hasSucc, s.useInstr, s.useNext = edges, hasSucc, useInstr, useNext
+	s.lastStore, s.memHead, s.memInstr, s.memNext = lastStore, memHead, memInstr, memNext
 	return edges
 }
 
@@ -210,7 +290,7 @@ func ListSchedule(b *ir.Block, d *machine.Desc, useTags bool, window int) *Block
 		return s
 	}
 	sc := getScratch(ins)
-	s.Bundles = sc.list(ins, d, useTags, window, s.CycleOf)
+	s.Bundles = sc.list(ins, d, sc.blockDeps(ins, d, useTags), window, s.CycleOf)
 	s.Len = slices.Max(s.CycleOf) + d.Lat.Branch
 	s.SteadyLen = s.Len + sc.carriedStall(ins, s.CycleOf, s.Len, d)
 	sc.release(ins)
@@ -226,16 +306,15 @@ func ListCycles(b *ir.Block, d *machine.Desc, useTags bool, window int) []int {
 		return cycleOf
 	}
 	sc := getScratch(b.Instrs)
-	sc.list(b.Instrs, d, useTags, window, cycleOf)
+	sc.list(b.Instrs, d, sc.blockDeps(b.Instrs, d, useTags), window, cycleOf)
 	sc.release(b.Instrs)
 	return cycleOf
 }
 
-// list is ListSchedule's scheduler: it fills cycleOf and returns the
-// number of non-empty issue groups.
-func (s *scratch) list(ins []*ir.Instr, d *machine.Desc, useTags bool, window int, cycleOf []int) (bundles int) {
+// list is ListSchedule's scheduler over the block's dependence edges:
+// it fills cycleOf and returns the number of non-empty issue groups.
+func (s *scratch) list(ins []*ir.Instr, d *machine.Desc, edges []depEdge, window int, cycleOf []int) (bundles int) {
 	n := len(ins)
-	edges := s.blockDeps(ins, d, useTags)
 	// Bucket edges by source (a counting sort).
 	off := zeroed(s.succOff, n+1)
 	pending := zeroed(s.pending, n)
@@ -257,9 +336,7 @@ func (s *scratch) list(ins []*ir.Instr, d *machine.Desc, useTags bool, window in
 	for i := n - 1; i >= 0; i-- {
 		h := 0
 		for _, e := range succs[off[i]:off[i+1]] {
-			if v := height[e.to] + e.lat; v > h {
-				h = v
-			}
+			h = max(h, height[e.to]+int(e.lat))
 		}
 		height[i] = h
 	}
@@ -313,12 +390,11 @@ func (s *scratch) list(ins []*ir.Instr, d *machine.Desc, useTags bool, window in
 			issued++
 			done++
 			for _, e := range succs[off[i]:off[i+1]] {
-				pending[e.to]--
-				if t := cycle + e.lat; t > readyAt[e.to] {
-					readyAt[e.to] = t
-				}
-				if pending[e.to] == 0 {
-					rest = append(rest, e.to)
+				to := int(e.to)
+				pending[to]--
+				readyAt[to] = max(readyAt[to], cycle+int(e.lat))
+				if pending[to] == 0 {
+					rest = append(rest, to)
 				}
 			}
 		}

@@ -14,6 +14,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"slms/internal/backend"
@@ -103,7 +104,7 @@ type Artifact struct {
 	// slot tables are part of the predecode). Repeated simulations of a
 	// cached artifact — the bench harness's best-of-N, the base leg shared
 	// across option sets, repeated /v1/profile requests — share the decode
-	// tables and pooled run buffers instead of re-deriving them per run.
+	// tables instead of re-deriving them per run.
 	pdPlain atomic.Pointer[sim.Predecoded]
 	pdProf  atomic.Pointer[sim.Predecoded]
 }
@@ -252,25 +253,23 @@ func scheduleForCtx(ctx context.Context, f *ir.Func, live *backend.Liveness, d *
 // applyOrder permutes a block's instructions into schedule order
 // (stable by issue cycle, then original index), keeping the branch last.
 // It replaces b.Instrs with a new slice and leaves the old one as it was.
+// A counting sort over the cycles keeps it O(n + cycles).
 func applyOrder(b *ir.Block, cycleOf []int) {
-	type slot struct {
-		cycle, idx int
+	if len(cycleOf) == 0 {
+		return
 	}
-	n := len(b.Instrs)
-	slots := make([]slot, n)
-	for i := range b.Instrs {
-		slots[i] = slot{cycleOf[i], i}
+	// next[c] is where the next instruction of cycle c goes.
+	next := make([]int, slices.Max(cycleOf)+2)
+	for _, c := range cycleOf {
+		next[c+1]++
 	}
-	// insertion sort (n is small, stability required)
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && (slots[j].cycle < slots[j-1].cycle ||
-			(slots[j].cycle == slots[j-1].cycle && slots[j].idx < slots[j-1].idx)); j-- {
-			slots[j], slots[j-1] = slots[j-1], slots[j]
-		}
+	for c := 1; c < len(next); c++ {
+		next[c] += next[c-1]
 	}
-	out := make([]*ir.Instr, n)
-	for k, sl := range slots {
-		out[k] = b.Instrs[sl.idx]
+	out := make([]*ir.Instr, len(b.Instrs))
+	for i, in := range b.Instrs {
+		out[next[cycleOf[i]]] = in
+		next[cycleOf[i]]++
 	}
 	b.Instrs = out
 }

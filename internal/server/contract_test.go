@@ -303,6 +303,9 @@ func TestContractQueueFull(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	defer close(release)
+	// The rejection count is the process-wide server.queue.rejected
+	// counter, which other tests' 429s also raise.
+	rejectedBefore := s.Stats().QueueRejected
 
 	// t.Fatalf is off-limits in goroutines; collect transport errors.
 	bgPost := func(body string) chan error {
@@ -338,8 +341,8 @@ func TestContractQueueFull(t *testing.T) {
 	if err := <-done2; err != nil {
 		t.Fatalf("queued request: %v", err)
 	}
-	if st := s.Stats(); st.QueueRejected != 1 || st.MaxQueueDepth != 1 {
-		t.Errorf("stats = %+v, want QueueRejected=1 MaxQueueDepth=1", st)
+	if st := s.Stats(); st.QueueRejected-rejectedBefore != 1 || st.MaxQueueDepth != 1 {
+		t.Errorf("stats = %+v (QueueRejected was %d), want one more rejection and MaxQueueDepth=1", st, rejectedBefore)
 	}
 }
 

@@ -474,3 +474,84 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	buf.ReadFrom(resp.Body)
 	return resp, buf.Bytes()
 }
+
+// Each non-200 response adds exactly one to its route's
+// server.<endpoint>.status.<code> counter: a client error, a source
+// error and a throttle each count once, and a repeat of a code counts
+// through the same counter again.
+func TestStatusCountersCountEachResponse(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	release := make(chan struct{})
+	entered := make(chan struct{}, 4)
+	s.handle("hold", "/v1/hold", func(ctx context.Context, req *Request) (any, *apiError) {
+		entered <- struct{}{}
+		<-release
+		return map[string]string{"ok": "true"}, nil
+	})
+	url := serveHTTP(t, s)
+	counter := func(ep string, code int) *obs.Counter {
+		return obs.CounterName(fmt.Sprintf("server.%s.status.%d", ep, code))
+	}
+	type reading struct {
+		ep   string
+		code int
+	}
+	before := map[reading]int64{}
+	for _, r := range []reading{{"compile", 400}, {"compile", 422}, {"hold", 429}} {
+		before[r] = counter(r.ep, r.code).Value()
+	}
+	// A response is counted as its handler finishes, which may be just
+	// after the client has read it.
+	expect := func(r reading, n int64) {
+		t.Helper()
+		rise := func() int64 { return counter(r.ep, r.code).Value() - before[r] }
+		waitFor(t, "status count", func() bool { return rise() >= n })
+		if got := rise(); got != n {
+			t.Errorf("server.%s.status.%d rose by %d, want %d", r.ep, r.code, got, n)
+		}
+	}
+	if resp, _ := post(t, url+"/v1/compile", `{"source": `); resp.StatusCode != 400 {
+		t.Fatalf("bad JSON: status %d, want 400", resp.StatusCode)
+	}
+	expect(reading{"compile", 400}, 1)
+	if resp, _ := post(t, url+"/v1/compile", jsonBody("B[0] = ;\n", "")); resp.StatusCode != 422 {
+		t.Fatalf("parse error: status %d, want 422", resp.StatusCode)
+	}
+	expect(reading{"compile", 422}, 1)
+	expect(reading{"compile", 400}, 1)
+
+	// One request holds the worker, one waits in the queue, the third
+	// is throttled.
+	done := make(chan error, 2)
+	bgPost := func(body string) {
+		go func() {
+			resp, err := http.Post(url+"/v1/hold", "application/json", strings.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+	}
+	bgPost(`{"source": "x = 1;"}`)
+	<-entered
+	bgPost(`{"source": "y = 2;"}`)
+	waitFor(t, "queued request", func() bool { return s.adm.depth() == 1 })
+	if resp, _ := post(t, url+"/v1/hold", `{"source": "z = 3;"}`); resp.StatusCode != 429 {
+		t.Fatalf("full queue: status %d, want 429", resp.StatusCode)
+	}
+	expect(reading{"hold", 429}, 1)
+	release <- struct{}{}
+	release <- struct{}{}
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if resp, _ := post(t, url+"/v1/compile", `{}`); resp.StatusCode != 400 {
+		t.Fatalf("missing source: status %d, want 400", resp.StatusCode)
+	}
+	expect(reading{"compile", 400}, 2)
+	expect(reading{"compile", 422}, 1)
+	expect(reading{"hold", 429}, 1)
+}

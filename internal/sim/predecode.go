@@ -15,10 +15,11 @@ import (
 // machine, plan) triple: every instruction's machine attributes
 // (energy, latency, functional unit), the array-binding table layout,
 // and — when built for profiling — the profiler's slot interning. One
-// Predecoded serves any number of runs, concurrently; per-run mutable
-// state (register file, array bindings, L1 tags) comes from an internal
-// pool, so repeated simulation of the same artifact allocates almost
-// nothing beyond its Metrics.
+// Predecoded serves any number of runs, concurrently. It holds no
+// per-run state: a run takes its register file, array bindings and L1
+// tags from the process-wide pool of the machine's cache, so
+// simulation allocates almost nothing beyond its Metrics, and the
+// working memory follows the runs in flight, not the artifacts built.
 //
 // Build one with Predecode; run it with Run/RunCtx.
 type Predecoded struct {
@@ -30,16 +31,33 @@ type Predecoded struct {
 	defs     []arrayBinding // binding template: storage fields zero
 	profiled bool
 	tables   *profTables // non-nil iff profiled
-
-	pool sync.Pool // *runState
+	states   *sync.Pool  // run states of d's cache
 }
 
-// runState is the pooled per-run mutable half of a simulation.
+// runState is the pooled per-run mutable half of a simulation. It grows
+// to the largest function it has served; a run uses and clears only the
+// prefix its function needs.
 type runState struct {
 	regs     []value
 	regReady []int64
 	bindings []arrayBinding
 	cache    *cache
+}
+
+// statePools maps a machine cache to the pool of run states whose L1
+// model it shapes: one pool per machine cache, shared by every function
+// simulated on it.
+var statePools sync.Map // machine.Cache -> *sync.Pool
+
+// statePool returns the pool of run states for c.
+func statePool(c machine.Cache) *sync.Pool {
+	if p, ok := statePools.Load(c); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := statePools.LoadOrStore(c, &sync.Pool{New: func() any {
+		return &runState{cache: newCache(c)}
+	}})
+	return p.(*sync.Pool)
 }
 
 // Predecode resolves every instruction's machine attributes and assigns
@@ -48,7 +66,7 @@ type runState struct {
 // cycles (the profiler's slot tables are part of the predecode, so the
 // two modes predecode separately).
 func Predecode(f *ir.Func, d *machine.Desc, plan *Plan, profiled bool) *Predecoded {
-	pd := &Predecoded{f: f, d: d, plan: plan, profiled: profiled}
+	pd := &Predecoded{f: f, d: d, plan: plan, profiled: profiled, states: statePool(d.Cache)}
 	if profiled {
 		pd.tables = newProfTables(f, d)
 	}
@@ -91,24 +109,34 @@ func Predecode(f *ir.Func, d *machine.Desc, plan *Plan, profiled bool) *Predecod
 	return pd
 }
 
-// getState takes a run state from the pool (or builds one) and resets
-// it: registers and ready times zeroed, bindings re-templated, cache
-// emptied. Backing storage is reused across runs.
+// getState takes a run state from the cache's pool and readies it
+// for pd's function: registers and ready times zeroed over the
+// function's registers, bindings templated, cache emptied. Backing
+// storage is reused across runs and functions.
 func (pd *Predecoded) getState() *runState {
-	st, _ := pd.pool.Get().(*runState)
-	if st == nil {
-		return &runState{
-			regs:     make([]value, pd.f.NumRegs),
-			regReady: make([]int64, pd.f.NumRegs),
-			bindings: append([]arrayBinding(nil), pd.defs...),
-			cache:    newCache(pd.d.Cache),
-		}
-	}
-	clear(st.regs)
-	clear(st.regReady)
-	copy(st.bindings, pd.defs)
+	st := pd.states.Get().(*runState)
+	st.regs = zeroed(st.regs, pd.f.NumRegs)
+	st.regReady = zeroed(st.regReady, pd.f.NumRegs)
+	st.bindings = append(st.bindings[:0], pd.defs...)
 	st.cache.reset()
 	return st
+}
+
+// putState returns st to its pool, dropping the run's array bindings so
+// a pooled state keeps no environment alive.
+func (pd *Predecoded) putState(st *runState) {
+	clear(st.bindings)
+	pd.states.Put(st)
+}
+
+// zeroed returns buf resized to n zero entries, reusing its storage.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Run simulates the predecoded program, reading inputs from and writing
@@ -158,7 +186,7 @@ func (pd *Predecoded) RunCtx(ctx context.Context, env *interp.Env, maxInstrs int
 	}
 	err := s.run()
 	if err != nil {
-		pd.pool.Put(st)
+		pd.putState(st)
 		return nil, err
 	}
 	// Write scalars back.
@@ -172,6 +200,6 @@ func (pd *Predecoded) RunCtx(ctx context.Context, env *interp.Env, maxInstrs int
 	simRuns.Add(1)
 	simCycles.Add(s.m.Cycles)
 	simInstrs.Add(s.m.Instrs)
-	pd.pool.Put(st)
+	pd.putState(st)
 	return s.m, nil
 }

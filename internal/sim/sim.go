@@ -18,7 +18,11 @@
 // Run never mutates the program or the plan: all per-execution state
 // (register file, array bindings, base addresses, predecoded
 // instruction attributes) lives in the simulator, so one compiled
-// artifact can be simulated from many goroutines concurrently.
+// artifact can be simulated from many goroutines concurrently. The
+// per-run buffers come from one process-wide pool per machine cache,
+// shared by every function simulated on machines with that L1, so
+// simulation's working memory grows with the runs in flight, not with
+// the artifacts compiled.
 package sim
 
 import (
