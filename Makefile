@@ -20,7 +20,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/memo/
 	$(GO) test -race -count=10 -run TestConcurrentExplainsVerifyOnce ./internal/server/
-	$(GO) test -race -count=10 -run TestCompilesNeverWriteTheSharedLoweredFunction ./internal/pipeline/
+	$(GO) test -race -count=10 -run 'TestCompilesNeverWriteTheSharedLoweredFunction|TestConcurrentMeasureModesDoNotLeak' ./internal/pipeline/
 	$(GO) test -race -count=10 -run TestPooledRunStatesMatchIsolatedRuns ./internal/sim/
 
 vet:

@@ -122,13 +122,21 @@ func Measure(p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env))
 	}, seed)
 }
 
-// MeasureCtx is Measure honoring a context: the simulator polls the
-// deadline every few thousand simulated instructions and uncached
-// compilation checks it between scheduling rounds, so ctx bounds the
-// whole measurement. The returned error wraps ctx.Err() on
+// Modes selects what one MeasureCtx call does besides measuring:
+// Profile attributes every simulated cycle (a Profile on each leg),
+// Verify proves every SLMS application before it is compiled. The zero
+// value, which Measure uses, does neither. Modes belong to the call:
+// concurrent calls in different modes do not affect each other.
+type Modes = pipeline.Modes
+
+// MeasureCtx is Measure honoring a context and modes: the simulator
+// polls the deadline every few thousand simulated instructions and
+// uncached compilation checks it between scheduling rounds, so ctx
+// bounds the whole measurement. The returned error wraps ctx.Err() on
 // cancellation (test with errors.Is(err, context.DeadlineExceeded)).
-func MeasureCtx(ctx context.Context, p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env)) (*Metrics, error) {
-	outs, errs, err := pipeline.RunExperimentsCtx(ctx, p, m, cc, []core.Options{opts}, seed)
+func MeasureCtx(ctx context.Context, p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env),
+	modes Modes) (*Metrics, error) {
+	outs, errs, err := pipeline.RunExperimentsCtx(ctx, p, m, cc, []core.Options{opts}, seed, modes)
 	if err != nil {
 		return nil, err
 	}
@@ -195,25 +203,18 @@ func Decisions() []Decision {
 // the same registry in the Prometheus text format at /metrics.
 func MetricsText() string { return obs.MetricsText() }
 
-// Profiling: cycle attribution inside the simulator. While enabled,
-// every simulated run attributes each cycle to a (source line, cause)
-// pair — issue, hazard stall, L1 miss, pipeline fill,
-// prologue/epilogue, branch — and each Measure outcome carries a
-// Profile on its Base and SLMS metrics, including per-loop
-// schedule-quality stats joined with the SLMS2xx decision records.
-// Disabled (the default), the instrumentation is a handful of dormant
+// Profiling: cycle attribution inside the simulator. A MeasureCtx call
+// with Modes{Profile: true} attributes each cycle of its runs to a
+// (source line, cause) pair — issue, hazard stall, L1 miss, pipeline
+// fill, prologue/epilogue, branch — and its outcome carries a Profile
+// on its Base and SLMS metrics, including per-loop schedule-quality
+// stats joined with the SLMS2xx decision records. Unprofiled calls
+// (Measure, and MeasureCtx without Profile) pay a handful of dormant
 // nil checks on the simulator's hot path.
 
 // Profile is one run's cycle-attribution profile: per-line and
 // per-block cause breakdowns plus per-loop schedule quality.
 type Profile = prof.Profile
-
-// SetProfiling turns simulator cycle attribution on or off
-// process-wide.
-func SetProfiling(on bool) { prof.SetEnabled(on) }
-
-// Profiling reports whether cycle attribution is enabled.
-func Profiling() bool { return prof.Enabled() }
 
 // Profile output formats accepted by WriteProfile.
 const (

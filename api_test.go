@@ -1,6 +1,7 @@
 package slms_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -80,15 +81,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestProfilingAPI turns cycle attribution on, measures a kernel, and
-// renders the resulting profiles in all three formats.
+// TestProfilingAPI measures a kernel plainly and with cycle
+// attribution, and renders the profiles in all three formats.
 func TestProfilingAPI(t *testing.T) {
-	if slms.Profiling() {
-		t.Fatal("profiling should default off")
-	}
-	slms.SetProfiling(true)
-	defer slms.SetProfiling(false)
-
 	prog, err := slms.Parse(`
 		float A[128]; float B[128];
 		float t = 0.0;
@@ -100,13 +95,21 @@ func TestProfilingAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := slms.Measure(prog, slms.MachineIA64(), slms.CompilerWeak, slms.DefaultOptions(), nil)
+	plain, err := slms.Measure(prog, slms.MachineIA64(), slms.CompilerWeak, slms.DefaultOptions(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Base.Profile != nil || plain.SLMS.Profile != nil {
+		t.Fatal("Measure recorded a profile")
+	}
+	m, err := slms.MeasureCtx(context.Background(), prog, slms.MachineIA64(), slms.CompilerWeak,
+		slms.DefaultOptions(), nil, slms.Modes{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, slmsLeg := m.Base.Profile, m.SLMS.Profile
 	if base == nil || slmsLeg == nil {
-		t.Fatal("enabled profiling recorded no profiles")
+		t.Fatal("a profiled MeasureCtx recorded no profiles")
 	}
 	tot := base.Totals()
 	if got := tot.Total(); got != m.Base.Cycles {

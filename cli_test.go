@@ -3,6 +3,7 @@ package slms_test
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"net/http"
@@ -198,21 +199,23 @@ if (m >= 200) {
 	}
 }
 
+// cliSimProg has a loop SLMS transforms under the strong compiler.
+const cliSimProg = `float A[200]; float B[200];
+for (z = 0; z < 200; z++) { A[z] = 0.1 * z; }
+float t = 0.0;
+for (i = 1; i < 190; i++) { t = A[i-1]; B[i] = B[i] + t; }
+`
+
 func TestCLISlmssim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	bin := buildTool(t, "slmssim")
-	prog := `float A[200]; float B[200];
-for (z = 0; z < 200; z++) { A[z] = 0.1 * z; }
-float t = 0.0;
-for (i = 1; i < 190; i++) { t = A[i-1]; B[i] = B[i] + t; }
-`
-	out, _ := runTool(t, bin, prog, "-machine", "ia64", "-compiler", "strong", "-compare", "-")
+	out, _ := runTool(t, bin, cliSimProg, "-machine", "ia64", "-compiler", "strong", "-compare", "-")
 	if !strings.Contains(out, "speedup:") || !strings.Contains(out, "slms applied: true") {
 		t.Errorf("compare output unexpected:\n%s", out)
 	}
-	out2, _ := runTool(t, bin, prog, "-machine", "arm7", "-")
+	out2, _ := runTool(t, bin, cliSimProg, "-machine", "arm7", "-")
 	if !strings.Contains(out2, "cycles=") {
 		t.Errorf("metrics missing:\n%s", out2)
 	}
@@ -262,6 +265,84 @@ func TestCLISlmsbenchSingleFigure(t *testing.T) {
 	if all, _ := runTool(t, bin, ""); all != string(golden) {
 		t.Error("slmsbench output differs from the golden; see " +
 			"diff <(go run ./cmd/slmsbench) internal/bench/testdata/figures.golden")
+	}
+}
+
+// checkPprofFile fails t unless path holds a non-empty gzip stream, as
+// a -profile flag writes.
+func checkPprofFile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(body) == 0 {
+		t.Fatalf("%s: empty profile", path)
+	}
+}
+
+// TestCLIProfileFlags: every -profile flag writes a non-empty gzipped
+// pprof file, and slmsbench writes the same bytes on every run.
+func TestCLIProfileFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	sim, slmsc, bench := buildTool(t, "slmssim"), buildTool(t, "slmsc"), buildTool(t, "slmsbench")
+	for name, run := range map[string]func(path string){
+		"slmssim-compare": func(p string) {
+			runTool(t, sim, cliSimProg, "-q", "-compiler", "strong", "-compare", "-profile", p, "-")
+		},
+		"slmssim": func(p string) { runTool(t, sim, cliSimProg, "-q", "-profile", p, "-") },
+		"slmsc":   func(p string) { runTool(t, slmsc, cliLoop, "-q", "-profile", p, "-") },
+		"slmsbench": func(p string) {
+			runTool(t, bench, "", "-q", "-figure", "21", "-profile", p)
+		},
+	} {
+		path := filepath.Join(dir, name+".pb.gz")
+		run(path)
+		checkPprofFile(t, path)
+	}
+	again := filepath.Join(dir, "slmsbench-again.pb.gz")
+	runTool(t, bench, "", "-q", "-figure", "21", "-profile", again)
+	first, err := os.ReadFile(filepath.Join(dir, "slmsbench.pb.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, err := os.ReadFile(again); err != nil || !bytes.Equal(first, second) {
+		t.Errorf("two slmsbench -profile runs wrote different files (err %v)", err)
+	}
+}
+
+// TestCLIVerifyFlags: -verify on slmssim -compare and on slmsbench
+// succeeds on the corpus and changes nothing the command prints.
+func TestCLIVerifyFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries and runs a figure")
+	}
+	sim, bench := buildTool(t, "slmssim"), buildTool(t, "slmsbench")
+	for _, c := range []struct {
+		bin, stdin string
+		args       []string
+	}{
+		{sim, cliSimProg, []string{"-q", "-compiler", "strong", "-compare", "-"}},
+		{bench, "", []string{"-q", "-figure", "14"}},
+	} {
+		plain, _ := runTool(t, c.bin, c.stdin, c.args...)
+		verified, _ := runTool(t, c.bin, c.stdin, append([]string{"-verify"}, c.args...)...)
+		if verified != plain {
+			t.Errorf("%s -verify %v printed\n%s\nwithout -verify\n%s",
+				filepath.Base(c.bin), c.args, verified, plain)
+		}
 	}
 }
 

@@ -14,9 +14,11 @@
 // for byte. -cpuprofile/-memprofile write pprof profiles of whichever
 // mode runs.
 //
-// -profile FILE turns the simulator's cycle-attribution profiler on
-// for the run and writes the suite's per-kernel profiles as a pprof
-// protobuf (readable with `go tool pprof FILE`).
+// -profile FILE measures the figures with cycle attribution and writes
+// the suite's per-kernel profiles as a pprof protobuf (readable with
+// `go tool pprof FILE`); -verify proves every SLMS application the
+// harness measures before compiling it. Both are handed to the harness
+// (bench.SetModes), which passes them to each measurement.
 package main
 
 import (
@@ -58,12 +60,7 @@ func main() {
 		obs.Usagef("%v", err)
 	}
 	tele.Activate()
-	pipeline.SetVerify(*verify)
-
-	if *profPath != "" {
-		prof.SetEnabled(true)
-	}
-
+	bench.SetModes(pipeline.Modes{Profile: *profPath != "", Verify: *verify})
 	if *workers > 0 {
 		bench.SetWorkers(*workers)
 	}

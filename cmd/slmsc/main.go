@@ -68,9 +68,6 @@ func main() {
 	flag.Parse()
 	tele.Activate()
 	defer tele.MustFinish()
-	if *profPath != "" {
-		prof.SetEnabled(true)
-	}
 
 	if flag.NArg() != 1 {
 		obs.Usagef("usage: slmsc [flags] file.c  (use - for stdin)")
@@ -165,7 +162,7 @@ func profileTransformed(path, label string, p *source.Program, r *pipeline.Reque
 		r.Compiler = "strong"
 	}
 	d, cc, _ := r.Target() // validated in main
-	m, _, err := pipeline.Run(p, d, cc, interp.NewEnv())
+	m, _, err := pipeline.RunCtx(context.Background(), p, d, cc, interp.NewEnv(), pipeline.Modes{Profile: true})
 	if err != nil {
 		return fmt.Errorf("-profile: %w", err)
 	}

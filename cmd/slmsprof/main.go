@@ -88,9 +88,8 @@ func main() {
 		label = "stdin"
 	}
 
-	prof.SetEnabled(true)
 	sp := obs.Root("slmsprof").Attr("machine", d.Name).Attr("compiler", cc.Name)
-	out, err := pipeline.Measure(obs.ContextWithSpan(context.Background(), sp), &r)
+	out, err := pipeline.Measure(obs.ContextWithSpan(context.Background(), sp), &r, pipeline.Modes{Profile: true})
 	sp.End()
 	if err != nil {
 		obs.Fatalf("%v", err)

@@ -57,10 +57,7 @@ func main() {
 	flag.Parse()
 	tele.Activate()
 	defer tele.MustFinish()
-	pipeline.SetVerify(*verify)
-	if *profPath != "" {
-		prof.SetEnabled(true)
-	}
+	modes := pipeline.Modes{Profile: *profPath != "", Verify: *verify}
 
 	if flag.NArg() != 1 {
 		obs.Usagef("usage: slmssim [flags] file.c  (use - for stdin)")
@@ -84,7 +81,7 @@ func main() {
 	ctx := obs.ContextWithSpan(context.Background(), sp)
 
 	if *compare {
-		out, err := pipeline.Measure(ctx, &r)
+		out, err := pipeline.Measure(ctx, &r, modes)
 		if err != nil {
 			fatal(err)
 		}
@@ -110,7 +107,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	m, art, err := pipeline.RunCtx(ctx, prog, d, cc, interp.NewEnv())
+	m, art, err := pipeline.RunCtx(ctx, prog, d, cc, interp.NewEnv(), modes)
 	if err != nil {
 		fatal(err)
 	}

@@ -32,15 +32,11 @@ func AblationFilter() (*Figure, error) {
 		prog := source.MustParse(k.Source)
 		off := core.DefaultOptions()
 		off.Filter = false
-		outOff, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.WeakO3, SLMS: off,
-		}, k.Setup)
+		outOff, err := runExperiment(prog, d, pipeline.WeakO3, off, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		outOn, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.WeakO3, SLMS: core.DefaultOptions(),
-		}, k.Setup)
+		outOn, err := runExperiment(prog, d, pipeline.WeakO3, core.DefaultOptions(), k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -83,15 +79,11 @@ func AblationExpansion() (*Figure, error) {
 		mve := core.DefaultOptions()
 		arr := core.DefaultOptions()
 		arr.Expansion = core.ExpandScalar
-		outM, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.WeakO3, SLMS: mve,
-		}, k.Setup)
+		outM, err := runExperiment(prog, d, pipeline.WeakO3, mve, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		outA, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.WeakO3, SLMS: arr,
-		}, k.Setup)
+		outA, err := runExperiment(prog, d, pipeline.WeakO3, arr, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -155,9 +147,7 @@ func AblationGuard() (*Figure, error) {
 		guarded := core.DefaultOptions()
 		bare := core.DefaultOptions()
 		bare.NoGuard = true
-		outG, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.WeakO3, SLMS: guarded,
-		}, k.Setup)
+		outG, err := runExperiment(prog, d, pipeline.WeakO3, guarded, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -165,9 +155,7 @@ func AblationGuard() (*Figure, error) {
 			f.Rows = append(f.Rows, Row{Kernel: k.Name, Value: 1, Note: reasonOf(outG)})
 			continue
 		}
-		outB, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.WeakO3, SLMS: bare,
-		}, k.Setup)
+		outB, err := runExperiment(prog, d, pipeline.WeakO3, bare, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -196,9 +184,7 @@ func AblationWindow() (*Figure, error) {
 		prod, n := 1.0, 0
 		for _, k := range ks {
 			prog := source.MustParse(k.Source)
-			out, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-				Machine: d, Compiler: cc, SLMS: core.DefaultOptions(),
-			}, k.Setup)
+			out, err := runExperiment(prog, d, cc, core.DefaultOptions(), k.Setup)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}

@@ -45,7 +45,7 @@ func TestKernelsThroughPipeline(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			out, err := measure(k, d, pipeline.WeakO3)
+			out, err := measure(k, d, pipeline.WeakO3, pipeline.Modes{})
 			if err != nil {
 				t.Fatalf("measure: %v", err)
 			}
@@ -184,7 +184,7 @@ func TestFig17Kernel10Regresses(t *testing.T) {
 	// The paper's specific Pentium story: kernel 10's many loop variants
 	// make MVE spill on the 8-register machine.
 	k := Lookup("kernel10")
-	out, err := measure(*k, machine.PentiumLike(), pipeline.WeakO3)
+	out, err := measure(*k, machine.PentiumLike(), pipeline.WeakO3, pipeline.Modes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestARMPowerCyclesCorrelate(t *testing.T) {
 	d := machine.ARM7Like()
 	agree, disagree := 0, 0
 	for _, k := range append(Suite("livermore"), Suite("linpack")...) {
-		out, err := measure(k, d, pipeline.WeakO3)
+		out, err := measure(k, d, pipeline.WeakO3, pipeline.Modes{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestExtendedKernelsThroughPipeline(t *testing.T) {
 				t.Fatalf("interp: %v", err)
 			}
 			// Then the measured experiment (equivalence checked inside).
-			out, err := measure(k, d, pipeline.WeakO3)
+			out, err := measure(k, d, pipeline.WeakO3, pipeline.Modes{})
 			if err != nil {
 				t.Fatalf("measure: %v", err)
 			}

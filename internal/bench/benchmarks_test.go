@@ -24,7 +24,7 @@ func BenchmarkSimRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env := newSeededEnv(*k)
-		if _, err := sim.Run(art.Func, d, art.Plan, env, 0); err != nil {
+		if _, err := sim.Predecode(art.Func, d, art.Plan, false).Run(env, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

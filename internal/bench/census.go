@@ -34,9 +34,7 @@ func Census() ([]CensusRow, error) {
 	var rows []CensusRow
 	for _, k := range Kernels() {
 		prog := source.MustParse(k.Source)
-		out, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-			Machine: d, Compiler: pipeline.StrongO3, SLMS: core.DefaultOptions(),
-		}, k.Setup)
+		out, err := runExperiment(prog, d, pipeline.StrongO3, core.DefaultOptions(), k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}

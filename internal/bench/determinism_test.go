@@ -118,12 +118,12 @@ func TestCachedArtifactMetricsIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, cc.Name, err)
 			}
 			envF := newSeededEnv(*k)
-			mFresh, err := sim.Run(fresh.Func, d, fresh.Plan, envF, 0)
+			mFresh, err := sim.Predecode(fresh.Func, d, fresh.Plan, false).Run(envF, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cc.Name, err)
 			}
 			envC := newSeededEnv(*k)
-			mCached, err := sim.Run(cached.Func, d, cached.Plan, envC, 0)
+			mCached, err := sim.Predecode(cached.Func, d, cached.Plan, false).Run(envC, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, cc.Name, err)
 			}
@@ -148,7 +148,7 @@ func TestRepeatedSimulationOfSharedArtifact(t *testing.T) {
 	var first *sim.Metrics
 	for i := 0; i < 3; i++ {
 		env := newSeededEnv(*k)
-		m, err := sim.Run(art.Func, d, art.Plan, env, 0)
+		m, err := sim.Predecode(art.Func, d, art.Plan, false).Run(env, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func (f *Figure) geoMeanApplied() (float64, int) {
 // keep the best; we do the same with MVE vs scalar expansion. Each
 // measurement is one span tree (root "measure:<kernel>") when tracing
 // is on, and the best outcome's cycles feed CyclesTable.
-func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome, error) {
+func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler, modes pipeline.Modes) (*pipeline.Outcome, error) {
 	sp := obs.Root("measure:"+k.Name).
 		Attr("kernel", k.Name).Attr("machine", d.Name).Attr("compiler", cc.Name)
 	defer sp.End()
@@ -104,7 +104,7 @@ func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome
 	// One shared base run for both variants (the untransformed leg does
 	// not depend on the SLMS options).
 	outs, errs, err := pipeline.RunExperimentsCtx(obs.ContextWithSpan(context.TODO(), sp), prog, d, cc,
-		[]core.Options{core.DefaultOptions(), altOpts}, k.Setup)
+		[]core.Options{core.DefaultOptions(), altOpts}, k.Setup, modes)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", k.Name, err)
 	}
@@ -120,8 +120,8 @@ func measure(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome
 }
 
 // kernelAgg is the per-kernel accumulation over every measurement the
-// process performed: the cycle totals of the best legs and, when
-// profiling is on, the legs' full profiles.
+// process performed: the cycle totals of the best legs and, for
+// measurements in a profiling mode, the legs' full profiles.
 type kernelAgg struct {
 	baseCycles int64
 	slmsCycles int64
@@ -193,8 +193,8 @@ func CyclesTable() string {
 
 // SuiteProfiles returns every per-leg profile collected by profiled
 // measurements, sorted by (kernel, machine, compiler, leg) so pprof
-// output is deterministic. Empty unless prof.SetEnabled(true) was on
-// while the figures ran.
+// output is deterministic. Empty unless SetModes turned Profile on
+// before the figures ran.
 func SuiteProfiles() []*prof.Profile {
 	kernelMeasurements.Lock()
 	defer kernelMeasurements.Unlock()
@@ -458,9 +458,7 @@ func CaseA() (*Figure, error) {
 
 func measureKernel8CaseA(k Kernel, d *machine.Desc) (*pipeline.Outcome, error) {
 	prog := source.MustParseCached(k.Source)
-	return pipeline.RunExperiment(prog, pipeline.Experiment{
-		Machine: d, Compiler: pipeline.WeakO3, SLMS: core.DefaultOptions(),
-	}, k.Setup)
+	return runExperiment(prog, d, pipeline.WeakO3, core.DefaultOptions(), k.Setup)
 }
 
 // CaseB reproduces the §9.2 floating-point-intensive loop: SLMS helps
@@ -478,9 +476,7 @@ func CaseB() (*Figure, error) {
 	seed := seedArrays(map[string][]int{"X": {210}}, 99)
 	// Keep values in (0,1) so fifth powers stay finite.
 	prog := source.MustParse(src)
-	out, err := pipeline.RunExperiment(prog, pipeline.Experiment{
-		Machine: machine.IA64Like(), Compiler: pipeline.StrongO3, SLMS: core.DefaultOptions(),
-	}, func(env *interp.Env) {
+	out, err := runExperiment(prog, machine.IA64Like(), pipeline.StrongO3, core.DefaultOptions(), func(env *interp.Env) {
 		seed(env)
 		arr := env.Arrays["X"]
 		for i := range arr.F {

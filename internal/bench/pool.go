@@ -5,9 +5,12 @@ import (
 	"runtime"
 	"sync"
 
+	"slms/internal/core"
+	"slms/internal/interp"
 	"slms/internal/machine"
 	"slms/internal/memo"
 	"slms/internal/pipeline"
+	"slms/internal/source"
 )
 
 // The harness runs every measurement through one shared bounded worker
@@ -16,12 +19,34 @@ import (
 // concurrency stays bounded by the pool size no matter how the work is
 // nested. Orchestration code (a figure waiting for its rows) never
 // holds a token while waiting, so nesting cannot deadlock.
+//
+// Beside the pool the harness keeps its measurement modes: whether its
+// SLMS measurements profile and verify. The pipeline never reads them;
+// each measurement passes them as its argument.
 
 var (
 	poolMu   sync.Mutex
 	poolSize = runtime.GOMAXPROCS(0)
 	poolSem  = make(chan struct{}, runtime.GOMAXPROCS(0))
+	modes    pipeline.Modes
 )
+
+// SetModes sets the modes of every later SLMS measurement the harness
+// makes (figures, cases, census and ablations): Profile fills
+// SuiteProfiles, Verify proves every transform before it is compiled.
+// The default measures plainly. Memoized measurements are keyed by
+// their modes, so a change never returns one made in other modes.
+func SetModes(m pipeline.Modes) {
+	poolMu.Lock()
+	modes = m
+	poolMu.Unlock()
+}
+
+func currentModes() pipeline.Modes {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	return modes
+}
 
 // SetWorkers resizes the shared worker pool (minimum 1; the default is
 // runtime.GOMAXPROCS). In-flight work keeps its token from the old
@@ -97,14 +122,15 @@ func workItemName(it any) string {
 	}
 }
 
-// measureKey identifies one memoized measurement: kernel, machine and
-// compiler are embedded by value so distinct configurations can never
-// collide.
+// measureKey identifies one memoized measurement: kernel, machine,
+// compiler and modes are embedded by value so distinct configurations
+// can never collide.
 type measureKey struct {
 	kernel string
 	src    string
 	mach   machine.Desc
 	cc     pipeline.Compiler
+	modes  pipeline.Modes
 }
 
 // measureEntry is a once-filled memo slot; concurrent requests for the
@@ -140,14 +166,24 @@ func ResetHarnessState() {
 	memo.Reset()
 }
 
-// measureCached memoizes measure: the same (kernel, machine, compiler)
-// triple is measured once per process and shared. Measurements are
-// deterministic (seeding, compilation and simulation all are), so the
-// memo is observationally identical to re-measuring.
+// measureCached memoizes measure in the harness's modes: the same
+// (kernel, machine, compiler, modes) tuple is measured once per process
+// and shared. Measurements are deterministic (seeding, compilation and
+// simulation all are), so the memo is observationally identical to
+// re-measuring.
 func measureCached(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.Outcome, error) {
-	key := measureKey{kernel: k.Name, src: k.Source, mach: *d, cc: cc}
+	key := measureKey{kernel: k.Name, src: k.Source, mach: *d, cc: cc, modes: currentModes()}
 	v, _ := measureMemo.LoadOrStore(key, &measureEntry{})
 	e := v.(*measureEntry)
-	e.once.Do(func() { e.out, e.err = measure(k, d, cc) })
+	e.once.Do(func() { e.out, e.err = measure(k, d, cc, key.modes) })
 	return e.out, e.err
+}
+
+// runExperiment measures prog with and without SLMS under opts on the
+// machine/compiler pair, in the harness's modes.
+func runExperiment(prog *source.Program, d *machine.Desc, cc pipeline.Compiler, opts core.Options,
+	seed func(*interp.Env)) (*pipeline.Outcome, error) {
+	return pipeline.RunExperiment(prog, pipeline.Experiment{
+		Machine: d, Compiler: cc, SLMS: opts, Modes: currentModes(),
+	}, seed)
 }

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"slms/internal/machine"
+	"slms/internal/memo"
+	"slms/internal/pipeline"
 )
 
 // A panicking worker must not crash the harness: the panic surfaces as
@@ -66,5 +70,38 @@ func TestParallelMapPanicNamesPlainItems(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "on 2") {
 		t.Fatalf("want panic report naming item 2, got %v", err)
+	}
+}
+
+// The harness's modes reach every SLMS measurement it makes: the
+// memoized figure cells, whose memo keys on the modes, and the cases,
+// census and ablations, which run through runExperiment.
+func TestHarnessModesReachEveryMeasurement(t *testing.T) {
+	k := *Lookup("kernel8")
+	d := machine.IA64Like()
+	plain, err := measureCached(k, d, pipeline.WeakO3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetModes(pipeline.Modes{Profile: true, Verify: true})
+	defer SetModes(pipeline.Modes{})
+	profiled, err := measureCached(k, d, pipeline.WeakO3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Base.Profile != nil || profiled.Base.Profile == nil {
+		t.Errorf("memoized cell profiles: plain %v, profiled %v; the memo must key on the modes",
+			plain.Base.Profile != nil, profiled.Base.Profile != nil)
+	}
+	h0, m0 := memo.Stats(memo.Verify)
+	out, err := measureKernel8CaseA(k, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Base.Profile == nil || out.SLMS.Profile == nil {
+		t.Error("Case A ran without the harness's Profile mode")
+	}
+	if h1, m1 := memo.Stats(memo.Verify); h1+m1 == h0+m0 {
+		t.Error("Case A ran without the harness's Verify mode")
 	}
 }

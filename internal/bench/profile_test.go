@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"slms/internal/machine"
 	"slms/internal/obs"
 	"slms/internal/pipeline"
-	"slms/internal/prof"
 	"slms/internal/sim"
 	"slms/internal/source"
 )
@@ -20,8 +20,6 @@ import (
 // the profiler's core invariant — a hot-line table that doesn't add up
 // explains nothing.
 func TestProfileAttributionSumsExactly(t *testing.T) {
-	prof.SetEnabled(true)
-	defer prof.SetEnabled(false)
 	machines := []*machine.Desc{
 		machine.IA64Like(), machine.Power4Like(), machine.PentiumLike(), machine.ARM7Like(),
 	}
@@ -35,8 +33,8 @@ func TestProfileAttributionSumsExactly(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", k.Name, err)
 				}
-				outs, errs, err := pipeline.RunExperiments(prog, d, cc,
-					[]core.Options{core.DefaultOptions()}, k.Setup)
+				outs, errs, err := pipeline.RunExperimentsCtx(context.Background(), prog, d, cc,
+					[]core.Options{core.DefaultOptions()}, k.Setup, pipeline.Modes{Profile: true})
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", k.Name, d.Name, cc.Name, err)
 				}
@@ -80,17 +78,17 @@ func TestDisabledProfilerOverheadUnderOnePercent(t *testing.T) {
 	// Pass 1 (profiled): count the dormant check sites the suite's
 	// simulations would touch when disabled — one per instruction (the
 	// issue-variant pick), at most one per block execution (static
-	// charging) and one per miss, plus one per Run (the enable load);
-	// block executions and misses are each bounded by the instruction
-	// count, so 3*instrs + runs is a safe over-count.
+	// charging) and one per miss, plus one per Run (the predecode's
+	// mode); block executions and misses are each bounded by the
+	// instruction count, so 3*instrs + runs is a safe over-count.
 	resetAll()
 	startSnap := obs.Default.Snapshot().Counters
-	prof.SetEnabled(true)
-	if _, err := AllFigures(); err != nil {
-		prof.SetEnabled(false)
+	SetModes(pipeline.Modes{Profile: true})
+	_, err := AllFigures()
+	SetModes(pipeline.Modes{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	prof.SetEnabled(false)
 	endSnap := obs.Default.Snapshot().Counters
 	instrs := endSnap["sim.instrs"] - startSnap["sim.instrs"]
 	runs := endSnap["sim.runs"] - startSnap["sim.runs"]

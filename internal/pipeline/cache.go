@@ -18,8 +18,8 @@ import (
 // the program, and compile, keyed by the program and an interned
 // compileConfig. Every back-end run of a program reads the lower
 // stage's one function through its own header and never writes it.
-// sim.Run treats an artifact as immutable (see package sim), so one
-// shared artifact may be simulated from any number of goroutines.
+// A simulation run treats an artifact as immutable (see package sim), so
+// one shared artifact may be simulated from any number of goroutines.
 
 // compileConfig is the compile stage's configuration. Both descriptions
 // are flat comparable structs, so two configurations collide only if
@@ -61,7 +61,7 @@ func CacheStats() (hits, misses int64) { return memo.Stats(memo.Compile) }
 // CompileForCached is CompileFor behind the pipeline cache: identical
 // (program, machine, compiler) triples compile once and share the
 // artifact. The returned artifact must be treated as read-only;
-// simulating it (sim.Run) is safe concurrently.
+// simulating it (Artifact.Predecoded, then Run) is safe concurrently.
 func CompileForCached(p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	return compileForCachedCtxSpan(context.Background(), nil, p, d, cc)
 }

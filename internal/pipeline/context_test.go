@@ -41,7 +41,7 @@ func TestRunCtxDeadlineAbortsSimulation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
 	time.Sleep(2 * time.Millisecond) // let the deadline pass
-	_, _, err := RunCtx(ctx, prog, machine.ARM7Like(), WeakO3, interp.NewEnv())
+	_, _, err := RunCtx(ctx, prog, machine.ARM7Like(), WeakO3, interp.NewEnv(), Modes{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -55,7 +55,7 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := RunCtx(context.Background(), prog, machine.IA64Like(), WeakO3, interp.NewEnv())
+	m2, _, err := RunCtx(context.Background(), prog, machine.IA64Like(), WeakO3, interp.NewEnv(), Modes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRunExperimentsCtxCancelPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, errs, err := RunExperimentsCtx(ctx, prog, machine.ARM7Like(), WeakO3,
-		[]core.Options{core.DefaultOptions()}, nil)
+		[]core.Options{core.DefaultOptions()}, nil, Modes{})
 	if err == nil && (len(errs) == 0 || errs[0] == nil) {
 		t.Fatal("canceled experiment reported no error")
 	}
@@ -110,7 +110,7 @@ for (i = 2; i < 64; i++) {
 	d := machine.IA64Like()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := RunCtx(ctx, prog, d, StrongO3, interp.NewEnv()); !errors.Is(err, context.Canceled) {
+	if _, _, err := RunCtx(ctx, prog, d, StrongO3, interp.NewEnv(), Modes{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled RunCtx: want context.Canceled, got %v", err)
 	}
 	cached, err := CompileForCached(prog, d, StrongO3)
@@ -124,11 +124,11 @@ for (i = 2; i < 64; i++) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := sim.Run(cached.Func, d, cached.Plan, interp.NewEnv(), 0)
+	mc, err := sim.Predecode(cached.Func, d, cached.Plan, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := sim.Run(fresh.Func, d, fresh.Plan, interp.NewEnv(), 0)
+	mf, err := sim.Predecode(fresh.Func, d, fresh.Plan, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

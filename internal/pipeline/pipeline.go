@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"slms/internal/analysis"
 	"slms/internal/backend"
 	"slms/internal/core"
 	"slms/internal/ims"
@@ -24,7 +25,6 @@ import (
 	"slms/internal/ir"
 	"slms/internal/machine"
 	"slms/internal/obs"
-	"slms/internal/prof"
 	"slms/internal/sim"
 	"slms/internal/source"
 )
@@ -104,16 +104,19 @@ type Artifact struct {
 	// slot tables are part of the predecode). Repeated simulations of a
 	// cached artifact — the bench harness's best-of-N, the base leg shared
 	// across option sets, repeated /v1/profile requests — share the decode
-	// tables instead of re-deriving them per run.
+	// tables instead of re-deriving them per run. Each run picks its slot
+	// from its own Modes.Profile, so a profiled and a plain measurement
+	// of one artifact run side by side, each in its own mode.
 	pdPlain atomic.Pointer[sim.Predecoded]
 	pdProf  atomic.Pointer[sim.Predecoded]
 }
 
-// Predecoded returns the artifact's shared simulator predecode for the
-// current profiling mode, building it on first use. Concurrent first
-// uses race benignly: one build wins, the others are dropped.
-func (a *Artifact) Predecoded(d *machine.Desc) *sim.Predecoded {
-	profiled := prof.Enabled()
+// Predecoded returns the artifact's shared simulator predecode for d in
+// the given mode, building it on first use: every run of a profiled
+// predecode attributes its cycles, and no run of a plain one does.
+// Concurrent first uses race benignly: one build wins, the others are
+// dropped.
+func (a *Artifact) Predecoded(d *machine.Desc, profiled bool) *sim.Predecoded {
 	slot := &a.pdPlain
 	if profiled {
 		slot = &a.pdProf
@@ -274,29 +277,41 @@ func applyOrder(b *ir.Block, cycleOf []int) {
 	b.Instrs = out
 }
 
-// Run compiles and simulates a program, seeding and updating env.
-// Compilation goes through the pipeline cache (see CompileForCached),
-// so repeated runs of the same (program, machine, compiler) triple
-// share one immutable artifact.
-func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	return runTimed(context.Background(), p, d, cc, env)
+// Modes selects what a measurement does besides compiling, simulating
+// and comparing. It is an argument of the measurement that asks for it
+// (RunCtx, RunExperimentsCtx, Measure, Experiment), never a process-wide
+// setting, so concurrent measurements of one cached artifact each run
+// in their own mode. The zero value measures plainly.
+type Modes struct {
+	// Profile attributes every simulated cycle to a (source line,
+	// block, cause) triple: each leg's Metrics.Profile is filled, with
+	// per-loop schedule-quality stats.
+	Profile bool
+	// Verify proves every SLMS application before the transformed
+	// program is compiled: a refuted loop, or a differential mismatch
+	// where the static proof is inconclusive, fails its option set. Run
+	// and RunCtx transform nothing, so they ignore it.
+	Verify bool
 }
 
-// RunCtx is Run honoring a context: compilation checks the deadline
-// between scheduling rounds (uncached path) and the simulator polls it
-// every few thousand instructions, so a request deadline stops the
-// pipeline mid-simulation instead of after it. Under a span carried by
-// ctx (obs.ContextWithSpan), the run records "compile" (with the cache
+// Run compiles and simulates a program, seeding and updating env, with
+// no profile. Compilation goes through the pipeline cache (see
+// CompileForCached), so repeated runs of the same (program, machine,
+// compiler) triple share one immutable artifact.
+func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
+	return RunCtx(context.Background(), p, d, cc, env, Modes{})
+}
+
+// RunCtx is Run honoring a context and modes: compilation checks the
+// deadline between scheduling rounds (uncached path) and the simulator
+// polls it every few thousand instructions, so a request deadline stops
+// the pipeline mid-simulation instead of after it. With modes.Profile
+// the metrics carry the run's profile. Under a span carried by ctx
+// (obs.ContextWithSpan), the run records "compile" (with the cache
 // outcome) and "sim" (with the simulated cycle count) child spans, each
 // also feeding the phase.compile / phase.sim duration histograms.
-func RunCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim.Metrics, *Artifact, error) {
-	return runTimed(ctx, p, d, cc, env)
-}
-
-// runTimed is the compile+simulate core: "compile" and "sim" child
-// spans under the span ctx carries, each feeding its phase histogram.
-func runTimed(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler,
-	env *interp.Env) (m *sim.Metrics, art *Artifact, err error) {
+func RunCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env,
+	modes Modes) (m *sim.Metrics, art *Artifact, err error) {
 	sp := obs.SpanFrom(ctx)
 	obs.Time(sp, "compile", func(csp *obs.Span) {
 		art, err = compileForCachedCtxSpan(ctx, csp, p, d, cc)
@@ -305,7 +320,7 @@ func runTimed(ctx context.Context, p *source.Program, d *machine.Desc, cc Compil
 		return nil, nil, err
 	}
 	obs.Time(sp, "sim", func(ssp *obs.Span) {
-		m, err = art.Predecoded(d).RunCtx(ctx, env, 0)
+		m, err = art.Predecoded(d, modes.Profile).RunCtx(ctx, env, 0)
 		if m != nil {
 			ssp.Attr("cycles", m.Cycles)
 		}
@@ -325,6 +340,7 @@ type Experiment struct {
 	Machine  *machine.Desc
 	Compiler Compiler
 	SLMS     core.Options
+	Modes    Modes
 }
 
 // Outcome is one before/after measurement.
@@ -344,7 +360,8 @@ type Outcome struct {
 // configuration. seed populates the environment before each run (called
 // with fresh environments).
 func RunExperiment(prog *source.Program, ex Experiment, seed func(*interp.Env)) (*Outcome, error) {
-	outs, errs, err := RunExperiments(prog, ex.Machine, ex.Compiler, []core.Options{ex.SLMS}, seed)
+	outs, errs, err := RunExperimentsCtx(context.Background(), prog, ex.Machine, ex.Compiler,
+		[]core.Options{ex.SLMS}, seed, ex.Modes)
 	if err != nil {
 		return nil, err
 	}
@@ -360,30 +377,32 @@ func RunExperiment(prog *source.Program, ex Experiment, seed func(*interp.Env)) 
 // per option set is pure waste. The returned slices parallel optsList:
 // errs[i] reports a failure specific to option set i (transform or
 // transformed-program run); the error return reports a base-run failure
-// that invalidates every option set.
+// that invalidates every option set. It neither profiles nor verifies.
 func RunExperiments(prog *source.Program, d *machine.Desc, cc Compiler,
 	optsList []core.Options, seed func(*interp.Env)) ([]*Outcome, []error, error) {
-	return RunExperimentsCtx(context.Background(), prog, d, cc, optsList, seed)
+	return RunExperimentsCtx(context.Background(), prog, d, cc, optsList, seed, Modes{})
 }
 
-// RunExperimentsCtx is RunExperiments honoring a context: every
-// simulation leg polls the deadline as it runs, and the driver checks it
-// between phases, so one request deadline bounds the whole measurement.
-// Cached phases (transform, cached compiles) complete regardless — their
-// results are shared across requests — but the loop stops before
-// starting the next leg once the context is done. Under a span carried
-// by ctx, the base leg and each option set's
+// RunExperimentsCtx is RunExperiments honoring a context and modes:
+// every simulation leg polls the deadline as it runs, and the driver
+// checks it between phases, so one request deadline bounds the whole
+// measurement. Cached phases (transform, cached compiles) complete
+// regardless — their results are shared across requests — but the loop
+// stops before starting the next leg once the context is done. With
+// modes.Profile both legs carry profiles; with modes.Verify every
+// option set's transform is proved before it is compiled. Under a span
+// carried by ctx, the base leg and each option set's
 // transform/verify/compile/sim/compare phases become child spans, each
 // feeding its phase histogram.
 func RunExperimentsCtx(ctx context.Context, prog *source.Program, d *machine.Desc, cc Compiler,
-	optsList []core.Options, seed func(*interp.Env)) ([]*Outcome, []error, error) {
+	optsList []core.Options, seed func(*interp.Env), modes Modes) ([]*Outcome, []error, error) {
 	sp := obs.SpanFrom(ctx)
 	envBase := interp.NewEnv()
 	if seed != nil {
 		seed(envBase)
 	}
 	baseSp := sp.Child("base")
-	mBase, artBase, err := runTimed(obs.ContextWithSpan(ctx, baseSp), prog, d, cc, envBase)
+	mBase, artBase, err := RunCtx(obs.ContextWithSpan(ctx, baseSp), prog, d, cc, envBase, modes)
 	baseSp.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("base run: %w", err)
@@ -417,11 +436,15 @@ func RunExperimentsCtx(ctx context.Context, prog *source.Program, d *machine.Des
 				out.Applied = true
 			}
 		}
-		if Verifying() {
+		if modes.Verify {
+			// Verification only reads the shared results, and the
+			// verifier's cache stage proves each (program, options) pair
+			// once across the cells that share its transform.
 			var verr error
 			obs.Time(legSp, "verify", func(vsp *obs.Span) {
-				verr = verifyResults(prog, transformed, results, opts)
+				verr = analysis.VerifyTransformed(prog, transformed, results, opts)
 				if verr != nil {
+					verr = fmt.Errorf("verify: %w", verr)
 					vsp.Attr("verdict", "refuted")
 					obs.RecordDecision(vsp, obs.Decision{
 						Code: obs.DecVerifyRefuted, Verdict: obs.VerdictRefute,
@@ -441,7 +464,7 @@ func RunExperimentsCtx(ctx context.Context, prog *source.Program, d *machine.Des
 		if seed != nil {
 			seed(envSLMS)
 		}
-		mSLMS, artSLMS, err := runTimed(obs.ContextWithSpan(ctx, legSp), transformed, d, cc, envSLMS)
+		mSLMS, artSLMS, err := RunCtx(obs.ContextWithSpan(ctx, legSp), transformed, d, cc, envSLMS, modes)
 		if err != nil {
 			errs[i] = fmt.Errorf("slms run: %w", err)
 			legSp.End()

@@ -272,8 +272,10 @@ func Explain(ctx context.Context, r *Request, diff bool, seeds int) (*analysis.R
 // Measure compiles and simulates the request's program on its target
 // twice — as written and after SLMS under r.CoreOptions() — on
 // identical inputs, below the span ctx carries, and checks that both
-// runs leave the same state.
-func Measure(ctx context.Context, r *Request) (*Outcome, error) {
+// runs leave the same state. modes is the caller's: /v1/profile and
+// slmsprof profile, /v1/schedule measures plainly, and slmssim -compare
+// passes its -profile and -verify flags.
+func Measure(ctx context.Context, r *Request, modes Modes) (*Outcome, error) {
 	d, cc, err := r.Target()
 	if err != nil {
 		return nil, err
@@ -282,7 +284,7 @@ func Measure(ctx context.Context, r *Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs, errs, err := RunExperimentsCtx(ctx, prog, d, cc, []core.Options{r.CoreOptions()}, nil)
+	outs, errs, err := RunExperimentsCtx(ctx, prog, d, cc, []core.Options{r.CoreOptions()}, nil, modes)
 	if err == nil {
 		err = errs[0]
 	}

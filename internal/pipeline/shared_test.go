@@ -104,11 +104,11 @@ func TestCompilesNeverWriteTheSharedLoweredFunction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.art.Predecoded(d).Run(interp.NewEnv(), 0)
+		got, err := c.art.Predecoded(d, false).Run(interp.NewEnv(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Predecoded(d).Run(interp.NewEnv(), 0)
+		want, err := fresh.Predecoded(d, false).Run(interp.NewEnv(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

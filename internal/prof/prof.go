@@ -11,13 +11,14 @@
 // profiles in via dense accumulator arrays (internal/sim), the pipeline
 // layer derives per-loop schedule-quality stats and joins decision
 // records (internal/pipeline), and cmd/slmsprof plus the -profile flags
-// expose them.
+// expose them. It holds no switch: a measurement is profiled because
+// its caller asked for it (pipeline.Modes.Profile), and the simulator
+// attributes only the runs of a predecode built for profiling.
 package prof
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 )
 
 // Cause classifies why a simulated cycle was spent.
@@ -184,16 +185,3 @@ func (p *Profile) Totals() Counts {
 	}
 	return t
 }
-
-// enabled is the process-wide profiling switch. The simulator loads it
-// once per Run; per-cycle paths never touch it.
-var enabled atomic.Bool
-
-// SetEnabled turns cycle-attribution profiling on or off process-wide.
-// When off, simulation runs pay no attribution cost beyond one atomic
-// load per Run plus dormant nil checks (bounded <1% by the overhead
-// guard in internal/bench).
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether profiling is on.
-func Enabled() bool { return enabled.Load() }

@@ -20,10 +20,11 @@ type admission struct {
 
 	queued   atomic.Int64 // requests currently waiting for a token
 	maxDepth atomic.Int64 // high-water mark, for tests and /readyz
+	rejected atomic.Int64 // this server's 429s, for Stats
 
 	depthGauge *obs.Gauge
-	busyGauge  *obs.Gauge // worker-pool saturation: tokens in use
-	rejects    *obs.Counter
+	busyGauge  *obs.Gauge   // worker-pool saturation: tokens in use
+	rejects    *obs.Counter // every server's 429s, for /metrics
 }
 
 func newAdmission(workers, queue int) *admission {
@@ -49,6 +50,7 @@ func (a *admission) acquire(ctx context.Context) *apiError {
 	q := a.queued.Add(1)
 	if q > a.capacity {
 		a.queued.Add(-1)
+		a.rejected.Add(1)
 		a.rejects.Add(1)
 		return errQueueFull
 	}

@@ -303,9 +303,6 @@ func TestContractQueueFull(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	defer close(release)
-	// The rejection count is the process-wide server.queue.rejected
-	// counter, which other tests' 429s also raise.
-	rejectedBefore := s.Stats().QueueRejected
 
 	// t.Fatalf is off-limits in goroutines; collect transport errors.
 	bgPost := func(body string) chan error {
@@ -341,8 +338,41 @@ func TestContractQueueFull(t *testing.T) {
 	if err := <-done2; err != nil {
 		t.Fatalf("queued request: %v", err)
 	}
-	if st := s.Stats(); st.QueueRejected-rejectedBefore != 1 || st.MaxQueueDepth != 1 {
-		t.Errorf("stats = %+v (QueueRejected was %d), want one more rejection and MaxQueueDepth=1", st, rejectedBefore)
+	if st := s.Stats(); st.QueueRejected != 1 || st.MaxQueueDepth != 1 {
+		t.Errorf("stats = %+v, want QueueRejected=1 and MaxQueueDepth=1", st)
+	}
+}
+
+// TestQueueRejectedIsPerServer: a server's Stats count only its own
+// 429s. Two servers in one process: a rejection on one leaves the
+// other's count at 0, while the process-wide /metrics counter counts
+// both servers' rejections.
+func TestQueueRejectedIsPerServer(t *testing.T) {
+	busy := New(Config{Workers: 1, QueueDepth: 1})
+	idle := New(Config{Workers: 1, QueueDepth: 1})
+	metric := obs.CounterName("server.queue.rejected")
+	before := metric.Value()
+	if err := busy.adm.acquire(context.Background()); err != nil {
+		t.Fatalf("first acquire: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan *apiError, 1)
+	go func() { queued <- busy.adm.acquire(ctx) }()
+	waitFor(t, "queued acquire", func() bool { return busy.adm.depth() == 1 })
+	if err := busy.adm.acquire(context.Background()); err != errQueueFull {
+		t.Fatalf("third acquire = %v, want errQueueFull", err)
+	}
+	cancel()
+	<-queued
+	busy.adm.release()
+	if got := busy.Stats().QueueRejected; got != 1 {
+		t.Errorf("busy server QueueRejected = %d, want 1", got)
+	}
+	if got := idle.Stats().QueueRejected; got != 0 {
+		t.Errorf("idle server QueueRejected = %d, want 0 (another server's 429 leaked in)", got)
+	}
+	if got := metric.Value() - before; got < 1 {
+		t.Errorf("server.queue.rejected rose by %d, want at least 1", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"slms/internal/analysis"
 	"slms/internal/core"
@@ -134,7 +133,7 @@ type ScheduleResponse struct {
 // and simulated twice — untouched and SLMS-transformed — on the
 // requested machine/compiler pair.
 func (s *Server) handleSchedule(ctx context.Context, req *Request) (any, *apiError) {
-	o, err := pipeline.Measure(ctx, req)
+	o, err := pipeline.Measure(ctx, req, pipeline.Modes{})
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
 	}
@@ -191,42 +190,11 @@ type ProfileResponse struct {
 	Loops    []LoopReport  `json:"loops"`
 }
 
-// Profiling is process-wide (a single atomic flag read by the
-// simulator's hot path), so concurrent /v1/profile requests share it
-// through a refcount: the flag turns on with the first profiled request
-// and off with the last. A plain atomic counter is not enough — the
-// enable racing a concurrent disable could leave the flag off while a
-// profiled run is in flight — so the count and the flag change together
-// under a mutex.
-var (
-	profMu    sync.Mutex
-	profUsers int
-)
-
-func acquireProfiling() {
-	profMu.Lock()
-	defer profMu.Unlock()
-	profUsers++
-	if profUsers == 1 {
-		prof.SetEnabled(true)
-	}
-}
-
-func releaseProfiling() {
-	profMu.Lock()
-	defer profMu.Unlock()
-	profUsers--
-	if profUsers == 0 {
-		prof.SetEnabled(false)
-	}
-}
-
 // handleProfile replies with /v1/schedule's pipeline.Measure run under
-// cycle attribution: both legs' profiles.
+// cycle attribution: both legs' profiles. Only this request's runs are
+// profiled; concurrent requests measure in their own modes.
 func (s *Server) handleProfile(ctx context.Context, req *Request) (any, *apiError) {
-	acquireProfiling()
-	defer releaseProfiling()
-	o, err := pipeline.Measure(ctx, req)
+	o, err := pipeline.Measure(ctx, req, pipeline.Modes{Profile: true})
 	if err != nil {
 		return nil, classifyPipelineErr(ctx, err)
 	}

@@ -569,7 +569,7 @@ func (s *Server) Stats() Stats {
 		MaxQueueDepth:  s.adm.maxDepth.Load(),
 		Admitted:       s.admitted.Load(),
 		Completed:      s.completed.Load(),
-		QueueRejected:  s.adm.rejects.Value(),
+		QueueRejected:  s.adm.rejected.Load(),
 		CacheHits:      hits,
 		CacheMisses:    misses,
 		CacheAliasHits: s.cache.aliasHits.Load(),

@@ -12,19 +12,20 @@ import (
 	"slms/internal/interp"
 	"slms/internal/machine"
 	"slms/internal/pipeline"
-	"slms/internal/prof"
 	"slms/internal/sim"
 	"slms/internal/source"
 )
 
-// poolCase is one artifact and its run in isolation.
+// poolCase is one artifact, predecoded in one mode, and its run in
+// isolation.
 type poolCase struct {
-	name  string
-	d     *machine.Desc
-	pd    *sim.Predecoded
-	setup func(*interp.Env)
-	want  *sim.Metrics
-	env   *interp.Env
+	name     string
+	d        *machine.Desc
+	profiled bool
+	pd       *sim.Predecoded
+	setup    func(*interp.Env)
+	want     *sim.Metrics
+	env      *interp.Env
 }
 
 // inputScalarKernel reads its scalar inputs before writing them, so a
@@ -49,8 +50,9 @@ var inputScalarKernel = bench.Kernel{
 
 // poolCases compiles kernels with few and with many registers, each
 // before and after SLMS, for all four machines (four machine caches),
-// and runs each artifact once from a state no other run has touched.
-func poolCases(t *testing.T, profiled bool) []*poolCase {
+// predecodes each artifact plain and profiled, and runs each predecode
+// once from a state no other run has touched.
+func poolCases(t *testing.T) []*poolCase {
 	t.Helper()
 	var cases []*poolCase
 	regs := map[int]bool{}
@@ -76,24 +78,27 @@ func poolCases(t *testing.T, profiled bool) []*poolCase {
 					t.Fatal(err)
 				}
 				regs[art.Func.NumRegs] = true
-				c := &poolCase{
-					name:  fmt.Sprintf("%s/%d/%s", k.Name, v, d.Name),
-					d:     d,
-					pd:    sim.Predecode(art.Func, d, art.Plan, profiled),
-					setup: k.Setup,
-					env:   interp.NewEnv(),
+				for _, profiled := range []bool{false, true} {
+					c := &poolCase{
+						name:     fmt.Sprintf("%s/%d/%s/profiled=%v", k.Name, v, d.Name, profiled),
+						d:        d,
+						profiled: profiled,
+						pd:       sim.Predecode(art.Func, d, art.Plan, profiled),
+						setup:    k.Setup,
+						env:      interp.NewEnv(),
+					}
+					k.Setup(c.env)
+					c.want, err = sim.PredecodeIsolated(art.Func, d, art.Plan, profiled).Run(c.env, 0)
+					if err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					cases = append(cases, c)
 				}
-				k.Setup(c.env)
-				c.want, err = sim.PredecodeIsolated(art.Func, d, art.Plan, profiled).Run(c.env, 0)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				cases = append(cases, c)
 			}
 		}
 	}
-	if len(cases) != 24 || len(regs) < 2 {
-		t.Fatalf("%d artifacts with %d register counts, want 24 with several", len(cases), len(regs))
+	if len(cases) != 48 || len(regs) < 2 {
+		t.Fatalf("%d predecodes with %d register counts, want 48 with several", len(cases), len(regs))
 	}
 	return cases
 }
@@ -122,59 +127,53 @@ func (c *poolCase) check() error {
 }
 
 // Run states are pooled per machine cache and shared by every function
-// simulated on it. Runs of artifacts with different machines and
-// register counts, interleaved across goroutines, must each equal the
-// artifact's run from a fresh state: a state carries nothing from one
-// run to the next.
+// simulated on it, in either mode. Runs of plain and profiled
+// predecodes with different machines and register counts, interleaved
+// across goroutines, must each equal the predecode's run from a fresh
+// state: a state carries nothing from one run to the next.
 func TestPooledRunStatesMatchIsolatedRuns(t *testing.T) {
-	for _, profiled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("profiled=%v", profiled), func(t *testing.T) {
-			prof.SetEnabled(profiled)
-			defer prof.SetEnabled(false)
-			cases := poolCases(t, profiled)
-			for _, c := range cases {
-				if profiled != (c.want.Profile != nil) {
-					t.Fatalf("%s: profile present %v, want %v", c.name, c.want.Profile != nil, profiled)
+	cases := poolCases(t)
+	for _, c := range cases {
+		if c.profiled != (c.want.Profile != nil) {
+			t.Fatalf("%s: isolated run's profile present %v", c.name, c.want.Profile != nil)
+		}
+	}
+	// Every predecode after every other of its machine, then all of
+	// them interleaved across goroutines.
+	for _, a := range cases {
+		for _, b := range cases {
+			if a.d.Name != b.d.Name {
+				continue
+			}
+			if err := a.check(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.check(); err != nil {
+				t.Fatalf("after %s: %v", a.name, err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for range 2 {
+				for _, i := range rng.Perm(len(cases)) {
+					if err := cases[i].check(); err != nil {
+						errs[g] = err
+						return
+					}
 				}
 			}
-			// Every artifact after every other of its machine, then all
-			// of them interleaved across goroutines.
-			for _, a := range cases {
-				for _, b := range cases {
-					if a.d.Name != b.d.Name {
-						continue
-					}
-					if err := a.check(); err != nil {
-						t.Fatal(err)
-					}
-					if err := b.check(); err != nil {
-						t.Fatalf("after %s: %v", a.name, err)
-					}
-				}
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, 4)
-			for g := range errs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					for range 2 {
-						for _, i := range rng.Perm(len(cases)) {
-							if err := cases[i].check(); err != nil {
-								errs[g] = err
-								return
-							}
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Error(err)
-				}
-			}
-		})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

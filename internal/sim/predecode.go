@@ -8,7 +8,6 @@ import (
 	"slms/internal/interp"
 	"slms/internal/ir"
 	"slms/internal/machine"
-	"slms/internal/prof"
 )
 
 // Predecoded is the shared, immutable predecode of one (function,
@@ -63,8 +62,9 @@ func statePool(c machine.Cache) *sync.Pool {
 // Predecode resolves every instruction's machine attributes and assigns
 // array-binding slots, hoisting all name-keyed map lookups out of the
 // execution loop. profiled selects whether runs of the result attribute
-// cycles (the profiler's slot tables are part of the predecode, so the
-// two modes predecode separately).
+// cycles: every run of the result is in that mode (the profiler's slot
+// tables are part of the predecode, so the two modes predecode
+// separately).
 func Predecode(f *ir.Func, d *machine.Desc, plan *Plan, profiled bool) *Predecoded {
 	pd := &Predecoded{f: f, d: d, plan: plan, profiled: profiled, states: statePool(d.Cache)}
 	if profiled {
@@ -140,20 +140,19 @@ func zeroed[T any](buf []T, n int) []T {
 }
 
 // Run simulates the predecoded program, reading inputs from and writing
-// results back to env. See Predecode and the package Run for semantics.
+// results back to env. maxInstrs guards against runaway loops (0 =
+// 500M). A run of a profiled predecode fills Metrics.Profile; a run of
+// a plain one does not.
 func (pd *Predecoded) Run(env *interp.Env, maxInstrs int64) (*Metrics, error) {
 	return pd.RunCtx(context.Background(), env, maxInstrs)
 }
 
-// RunCtx is Run honoring a context (see the package RunCtx). If the
-// process-wide profiling mode no longer matches the mode the predecode
-// was built for, a matching one-shot predecode runs instead — callers
-// caching a Predecoded never observe a mode mismatch, only the reuse
-// win disappears.
+// RunCtx is Run honoring a context: the execution loop checks ctx every
+// ctxCheckInterval instructions and aborts with an error wrapping
+// ctx.Err() (so errors.Is(err, context.DeadlineExceeded) works) when the
+// deadline passes or the caller cancels. A context.Background() call is
+// identical to Run.
 func (pd *Predecoded) RunCtx(ctx context.Context, env *interp.Env, maxInstrs int64) (*Metrics, error) {
-	if prof.Enabled() != pd.profiled {
-		return Predecode(pd.f, pd.d, pd.plan, prof.Enabled()).RunCtx(ctx, env, maxInstrs)
-	}
 	if maxInstrs == 0 {
 		maxInstrs = 500_000_000
 	}

@@ -8,7 +8,6 @@ import (
 	"slms/internal/backend"
 	"slms/internal/interp"
 	"slms/internal/machine"
-	"slms/internal/prof"
 	"slms/internal/source"
 )
 
@@ -29,7 +28,7 @@ func TestPredecodedReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := machine.IA64Like()
-	want, err := Run(f, d, nil, interp.NewEnv(), 0)
+	want, err := PredecodeIsolated(f, d, nil, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +96,6 @@ func TestPredecodedConcurrentRuns(t *testing.T) {
 // profile totals exactly its cycle count, with no leakage between
 // pooled states.
 func TestPredecodedProfileExactSum(t *testing.T) {
-	prof.SetEnabled(true)
-	defer prof.SetEnabled(false)
-
 	f, err := backend.Compile(source.MustParse(scanSrc))
 	if err != nil {
 		t.Fatal(err)
@@ -122,28 +118,31 @@ func TestPredecodedProfileExactSum(t *testing.T) {
 	}
 }
 
-// TestPredecodedModeMismatch: a Predecoded built without profiling must
-// still honor a later profiling request (and vice versa) by rebuilding
-// on the fly rather than returning profile-less metrics.
-func TestPredecodedModeMismatch(t *testing.T) {
+// TestPredecodedRunsInItsMode: a predecode's mode is its runs' mode.
+// With nothing else set, a profiled predecode returns an exact-sum
+// profile and a plain one returns none, whichever ran first.
+func TestPredecodedRunsInItsMode(t *testing.T) {
 	f, err := backend.Compile(source.MustParse(scanSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := machine.IA64Like()
-	pd := Predecode(f, d, nil, false)
-
-	prof.SetEnabled(true)
-	defer prof.SetEnabled(false)
-	m, err := pd.Run(interp.NewEnv(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Profile == nil {
-		t.Fatal("profiling-mode run through a plain Predecoded returned no profile")
-	}
-	tot := m.Profile.Totals()
-	if got := tot.Total(); got != m.Cycles {
-		t.Errorf("profile totals %d, want %d", got, m.Cycles)
+	for _, profiled := range []bool{true, false, true} {
+		m, err := Predecode(f, d, nil, profiled).Run(interp.NewEnv(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !profiled {
+			if m.Profile != nil {
+				t.Fatal("a plain predecode's run returned a profile")
+			}
+			continue
+		}
+		if m.Profile == nil {
+			t.Fatal("a profiled predecode's run returned no profile")
+		}
+		if tot := m.Profile.Totals(); tot.Total() != m.Cycles {
+			t.Errorf("profile totals %d, want %d", tot.Total(), m.Cycles)
+		}
 	}
 }

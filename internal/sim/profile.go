@@ -9,7 +9,7 @@ import (
 )
 
 // profState is the per-Run cycle-attribution accumulator. It is
-// allocated once at Run start (only when prof.Enabled()), written
+// allocated once at Run start (only for a profiled predecode), written
 // through dense index arithmetic on the hot path — no maps, no
 // allocation — and folded into a prof.Profile at Run exit.
 //

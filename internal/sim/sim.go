@@ -15,7 +15,13 @@
 // machine's penalty and energy. Energy follows a Panalyzer-style
 // per-event model plus static leakage per cycle.
 //
-// Run never mutates the program or the plan: all per-execution state
+// A program is simulated by predecoding it once for a machine and plan
+// (Predecode) and running the result (Predecoded.Run) as often as
+// needed. Whether runs attribute cycles to causes (Metrics.Profile) is
+// chosen at predecode and holds for every run of that predecode; no
+// process-wide setting changes it.
+//
+// A run never mutates the program or the plan: all per-execution state
 // (register file, array bindings, base addresses, predecoded
 // instruction attributes) lives in the simulator, so one compiled
 // artifact can be simulated from many goroutines concurrently. The
@@ -80,8 +86,8 @@ type Metrics struct {
 	// ExecCounts records how many times each block executed (indexed by
 	// block ID), letting harnesses find the hot loop.
 	ExecCounts []int64
-	// Profile is the run's cycle attribution, filled only when
-	// prof.Enabled(); its per-cause counts sum exactly to Cycles.
+	// Profile is the run's cycle attribution, filled only by a run of a
+	// profiled predecode; its per-cause counts sum exactly to Cycles.
 	Profile *prof.Profile
 }
 
@@ -214,26 +220,6 @@ type instrInfo struct {
 // while a canceled request still stops within a few microseconds of
 // simulated work.
 const ctxCheckInterval = 16 * 1024
-
-// Run simulates f on machine d with timing plan, reading inputs from and
-// writing results back to env. maxInstrs guards against runaway loops
-// (0 = 500M). Run treats f and plan as read-only.
-func Run(f *ir.Func, d *machine.Desc, plan *Plan, env *interp.Env, maxInstrs int64) (*Metrics, error) {
-	return RunCtx(context.Background(), f, d, plan, env, maxInstrs)
-}
-
-// RunCtx is Run honoring a context: the execution loop checks ctx every
-// ctxCheckInterval instructions and aborts with an error wrapping
-// ctx.Err() (so errors.Is(err, context.DeadlineExceeded) works) when the
-// deadline passes or the caller cancels. A context.Background() call is
-// identical to Run.
-//
-// Each call predecodes afresh; callers running the same artifact more
-// than once should Predecode it and use Predecoded.RunCtx (the pipeline
-// caches a predecode per artifact).
-func RunCtx(ctx context.Context, f *ir.Func, d *machine.Desc, plan *Plan, env *interp.Env, maxInstrs int64) (*Metrics, error) {
-	return Predecode(f, d, plan, prof.Enabled()).RunCtx(ctx, env, maxInstrs)
-}
 
 func fromInterp(v interp.Value) value {
 	return value{t: vtag(v.T), i: v.I, f: v.F, b: v.B}

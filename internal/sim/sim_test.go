@@ -62,7 +62,7 @@ func TestSequentialArrayScanMissesPerLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(f, d, nil, interp.NewEnv(), 0)
+	m, err := Predecode(f, d, nil, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,13 @@ func TestInOrderCyclesScaleWithLatency(t *testing.T) {
 	fast := machine.ARM7Like()
 	slow := machine.ARM7Like()
 	slow.Lat.FloatMul = fast.Lat.FloatMul * 3
-	mFast, err := Run(f, fast, nil, interp.NewEnv(), 0)
+	mFast, err := Predecode(f, fast, nil, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Recompile: the block schedule state is per-run but the func is
 	// shared; Run doesn't mutate it, so reuse is fine.
-	mSlow, err := Run(f, slow, nil, interp.NewEnv(), 0)
+	mSlow, err := Predecode(f, slow, nil, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestScalarsWrittenBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := interp.NewEnv()
-	if _, err := Run(f, machine.IA64Like(), nil, env, 0); err != nil {
+	if _, err := Predecode(f, machine.IA64Like(), nil, false).Run(env, 0); err != nil {
 		t.Fatal(err)
 	}
 	if v := env.Scalars["c"]; v.I != 13 {
@@ -132,7 +132,7 @@ func TestPreseededScalarInput(t *testing.T) {
 	}
 	env := interp.NewEnv()
 	env.SetScalar("n", interp.IntVal(21))
-	if _, err := Run(f, machine.IA64Like(), nil, env, 0); err != nil {
+	if _, err := Predecode(f, machine.IA64Like(), nil, false).Run(env, 0); err != nil {
 		t.Fatal(err)
 	}
 	if v := env.Scalars["m"]; v.I != 42 {
@@ -149,7 +149,7 @@ func TestOutOfBoundsDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(f, machine.IA64Like(), nil, interp.NewEnv(), 0); err == nil {
+	if _, err := Predecode(f, machine.IA64Like(), nil, false).Run(interp.NewEnv(), 0); err == nil {
 		t.Error("expected out-of-range error")
 	}
 }
@@ -163,7 +163,7 @@ func TestInstrLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(f, machine.IA64Like(), nil, interp.NewEnv(), 1000); err == nil {
+	if _, err := Predecode(f, machine.IA64Like(), nil, false).Run(interp.NewEnv(), 1000); err == nil {
 		t.Error("expected instruction-limit error")
 	}
 }
@@ -178,7 +178,7 @@ func TestEnergyAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := machine.ARM7Like()
-	m, err := Run(f, d, nil, interp.NewEnv(), 0)
+	m, err := Predecode(f, d, nil, false).Run(interp.NewEnv(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
