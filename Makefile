@@ -16,8 +16,10 @@ build:
 test:
 	$(GO) test ./...
 
+# The race target is CI's: every package shuffled, then the 10-run
+# batteries of the concurrent caches and pools.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 	$(GO) test -race -count=10 ./internal/memo/
 	$(GO) test -race -count=10 -run TestConcurrentExplainsVerifyOnce ./internal/server/
 	$(GO) test -race -count=10 -run 'TestCompilesNeverWriteTheSharedLoweredFunction|TestConcurrentMeasureModesDoNotLeak' ./internal/pipeline/
@@ -37,8 +39,8 @@ lint: vet
 		echo "lint: staticcheck $(STATICCHECK_VERSION) unavailable (no binary on PATH, module fetch failed); vet-only"; \
 	fi
 
-# Short fuzzing pass over every fuzz target (CI runs the same; leave
-# -fuzztime off for a long local session).
+# Short fuzzing pass over every fuzz target (CI's fuzz job runs this
+# target; leave -fuzztime off for a long local session).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParser -fuzztime=10s ./internal/source/
 	$(GO) test -run=NONE -fuzz=FuzzFilter -fuzztime=10s ./internal/core/
@@ -48,8 +50,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzExactScheduler -fuzztime=10s ./internal/sched/exact/
 	$(GO) test -run=NONE -fuzz=FuzzProve -fuzztime=10s ./internal/sched/exact/
 
-# Single-pass smoke of every Benchmark* (no statistics); use
-# `go test -bench . -benchtime 10x ./internal/bench/` for real numbers.
+# Single-pass smoke of every Benchmark* (no statistics; CI runs this
+# target). Use `go test -bench . -benchtime 10x ./internal/bench/` for
+# real numbers.
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/bench/ ./internal/pipeline/ ./internal/obs/ ./internal/server/
 

@@ -40,16 +40,15 @@ func TestDisabledTracerOverheadUnderOnePercent(t *testing.T) {
 
 	// Price the disabled path. Each span in the traced run corresponds
 	// to one Root/Child + Attr + End sequence on the nil fast path,
-	// plus the request-ID plumbing a served request threads alongside
-	// it (context stamping and recall — the correlation machinery must
-	// be as free as the spans when tracing is off).
+	// plus the span context a served request threads alongside it (the
+	// correlation machinery must be as free as the spans when tracing
+	// is off).
 	perOp := testing.Benchmark(func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			rctx := obs.ContextWithRequestID(ctx, "r00000001")
-			sp := obs.RootRequest("overhead-probe", obs.RequestIDFrom(rctx))
+			sp := obs.RootRequest("overhead-probe", "r00000001")
 			sp = sp.Attr("k", i)
-			rctx = obs.ContextWithSpan(rctx, sp)
+			rctx := obs.ContextWithSpan(ctx, sp)
 			sp.Child("child").End()
 			if obs.SpanFrom(rctx) != sp {
 				b.Fatal("span context roundtrip broken")

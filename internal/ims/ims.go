@@ -1,24 +1,23 @@
 // Package ims implements machine-level iterative modulo scheduling
 // (Rau, MICRO 1994) over the virtual ISA: the optimization the paper's
 // strong final compilers (ICC, XLC) apply to innermost loops, and the
-// baseline SLMS is compared against. The scheduler computes
-// ResMII/RecMII from the instruction-level dependence graph (using the
-// affine memory tags for disambiguation), then places the loop with
-// the Rau-style height-priority heuristic at the smallest II it can. An
-// optional exact prover (package sched/exact, run through sched.Prove)
-// refutes the IIs below the heuristic's schedule, and a lower schedule
-// it finds is kept instead. Schedules whose register pressure exceeds
-// the machine file are rejected — the failure mode of the paper's
-// Figure 11.
+// baseline SLMS is compared against. The scheduler builds the
+// instruction-level dependence graph (using the affine memory tags for
+// disambiguation), reads its ResMII and RecMII from package sched,
+// where both bounds are derived (RecMII once per graph), then places
+// the loop with the Rau-style height-priority heuristic at the
+// smallest II it can. An optional exact prover (package sched/exact,
+// run through sched.Prove) refutes the IIs below the heuristic's
+// schedule, reading the same bounds, and a lower schedule it finds is
+// kept instead. Schedules whose register pressure exceeds the machine
+// file are rejected — the failure mode of the paper's Figure 11.
 package ims
 
 import (
 	"fmt"
 
-	"slms/internal/ddg"
 	"slms/internal/ir"
 	"slms/internal/machine"
-	"slms/internal/mii"
 	"slms/internal/sched"
 	"slms/internal/sched/exact"
 	"slms/internal/source"
@@ -107,8 +106,9 @@ func ScheduleWith(b *ir.Block, d *machine.Desc, useTags bool, cfg Config) *Resul
 	g := BuildGraph(ins, d, useTags)
 
 	res.ResMII = sched.ResourceMinII(g, d)
-	res.RecMII = recMII(g, 4*n+16)
-	if res.RecMII < 0 {
+	res.RecMII = g.RecMII()
+	if res.RecMII == 0 || res.RecMII > 4*n+16 {
+		res.RecMII = -1
 		res.Reason = "no feasible II (unresolvable recurrence)"
 		return res
 	}
@@ -177,22 +177,6 @@ func withoutBranch(ins []*ir.Instr) []*ir.Instr {
 		return ins[:len(ins)-1]
 	}
 	return ins
-}
-
-// recMII is the recurrence-constrained lower bound: the smallest II
-// that admits no positive-weight cycle (reusing the difMin/ISP
-// machinery, found by binary search — validity is monotone in II).
-// Returns -1 when no II up to maxII works.
-func recMII(g *sched.Graph, maxII int) int {
-	dg := &ddg.Graph{N: g.N()}
-	dg.Edges = make([]ddg.Edge, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		dg.Edges = append(dg.Edges, ddg.Edge{From: e.From, To: e.To, Dist: e.Dist, Delay: e.Lat})
-	}
-	if ii := mii.FindMinValid(dg, int64(maxII)); ii > 0 {
-		return int(ii)
-	}
-	return -1
 }
 
 // pressure estimates register pressure of the pipelined schedule: each

@@ -1,13 +1,14 @@
 package obs
 
 // Request correlation: W3C trace-context parsing plus the context
-// plumbing that threads one request ID from the HTTP edge through
-// admission, caches, the per-loop transform and the simulator. The
-// rule mirrors the rest of this package: everything here must be
-// allocation-free on the paths servers keep hot (parsing a traceparent
-// returns a substring of the input; context reads are plain Value
-// lookups), and every helper tolerates zeros — an empty request ID, a
-// nil span, a background context.
+// plumbing that carries a request's span tree, and with it the request
+// ID (see RootRequest), from the HTTP edge through admission, caches,
+// the per-loop transform and the simulator. The rule mirrors the rest
+// of this package: everything here must be allocation-free on the paths
+// servers keep hot (parsing a traceparent returns a substring of the
+// input; context reads are plain Value lookups), and every helper
+// tolerates zeros — an empty request ID, a nil span, a background
+// context.
 
 import (
 	"context"
@@ -69,33 +70,8 @@ func allZero(s string) bool {
 	return true
 }
 
-// ctxKey keys the package's context values.
-type ctxKey int
-
-const (
-	reqIDKey ctxKey = iota
-	spanKey
-)
-
-// ContextWithRequestID returns ctx carrying the request ID. An empty id
-// returns ctx unchanged.
-func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, reqIDKey, id)
-}
-
-// RequestIDFrom returns the request ID carried by ctx, or the
-// process-level request ID (see SetRequestID), or "".
-func RequestIDFrom(ctx context.Context) string {
-	if ctx != nil {
-		if id, ok := ctx.Value(reqIDKey).(string); ok {
-			return id
-		}
-	}
-	return RequestID()
-}
+// spanKey keys the request's span in a context.
+type spanKey struct{}
 
 // ContextWithSpan returns ctx carrying sp, so layers that only see a
 // context (HTTP handlers behind singleflight, worker pools) can attach
@@ -104,7 +80,7 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, spanKey, sp)
+	return context.WithValue(ctx, spanKey{}, sp)
 }
 
 // SpanFrom returns the span carried by ctx, or nil — which is itself a
@@ -113,17 +89,8 @@ func SpanFrom(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
 	}
-	sp, _ := ctx.Value(spanKey).(*Span)
+	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
-}
-
-// RootCtx starts a request-scoped span tree: a root span stamped with
-// the context's request ID, returned along with a derived context
-// carrying both. When tracing is off the span is nil and ctx comes back
-// with only its request ID — the shape callers already handle.
-func RootCtx(ctx context.Context, name string) (context.Context, *Span) {
-	sp := RootRequest(name, RequestIDFrom(ctx))
-	return ContextWithSpan(ctx, sp), sp
 }
 
 // procReqID is the process-level request ID: CLIs set it from

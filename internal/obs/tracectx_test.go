@@ -101,30 +101,23 @@ func FuzzParseTraceparent(f *testing.F) {
 	})
 }
 
-// TestRequestIDContext covers the context plumbing: the ID round-trips,
-// RootCtx stamps the tree, children inherit, and decisions recorded
-// under the tree carry the same ID.
+// TestRequestIDContext covers the request-scoped span tree: RootRequest
+// stamps the root, the context carries the root, children inherit the
+// ID, and decisions recorded under the tree carry the same ID.
 func TestRequestIDContext(t *testing.T) {
-	ctx := ContextWithRequestID(context.Background(), "req-42")
-	if got := RequestIDFrom(ctx); got != "req-42" {
-		t.Fatalf("RequestIDFrom = %q, want req-42", got)
-	}
-	if got := RequestIDFrom(context.Background()); got != "" {
-		t.Fatalf("background RequestIDFrom = %q, want empty", got)
-	}
-
 	tr := NewTracer()
 	Enable(tr)
 	defer Disable()
 
-	ctx, sp := RootCtx(ctx, "test.root")
+	sp := RootRequest("test.root", "req-42")
 	if sp == nil {
-		t.Fatal("RootCtx returned nil span with tracing on")
+		t.Fatal("RootRequest returned nil span with tracing on")
 	}
 	defer sp.End()
 	if got := sp.RequestID(); got != "req-42" {
 		t.Errorf("root span request ID = %q, want req-42", got)
 	}
+	ctx := ContextWithSpan(context.Background(), sp)
 	if got := SpanFrom(ctx); got != sp {
 		t.Errorf("SpanFrom(ctx) = %v, want the root span", got)
 	}

@@ -28,11 +28,14 @@
 //
 // Soundness of UNSAT: both prunes are relaxations (ignoring unassigned
 // nodes only removes constraints), so a completed search refutes every
-// ρ assignment and no schedule exists at the II. The root-level checks
-// give the cheap, independently re-checkable certificates: a positive
-// cycle in the t-SDC (via the mii Bellman–Ford cycle extraction) or a
-// functional-unit count exceeding II rows. A refutation that needed
-// the enumeration itself is certified as sched.UnsatSearch.
+// ρ assignment and no schedule exists at the II. The root check gives
+// the cheap, independently re-checkable certificates: an II below the
+// resource or recurrence bound is refuted by sched.BoundUnsat, the one
+// implementation of both bounds, with a functional-unit count
+// exceeding II rows or a positive cycle in the t-SDC. The recurrence
+// bound is derived once per graph, so a probe at or above it runs no
+// cycle extraction. A refutation that needed the enumeration itself is
+// certified as sched.UnsatSearch.
 package exact
 
 import (
@@ -56,42 +59,13 @@ type Sched struct {
 // Schedule implements sched.Scheduler: a schedule at ii, an
 // *sched.Unsat proof that none exists, or an *sched.Budget cut.
 func (s *Sched) Schedule(g *sched.Graph, d *machine.Desc, ii int) (*sched.Schedule, error) {
-	n := g.N()
-	if ii < 1 {
-		return nil, &sched.Unsat{II: ii, Kind: sched.UnsatResource, Visited: 1}
+	// Root certificates: an ii below either analytic bound is
+	// unconditionally infeasible, and sched.BoundUnsat says why.
+	if u := sched.BoundUnsat(g, d, ii); u != nil {
+		return nil, u
 	}
-	if n == 0 {
+	if g.N() == 0 {
 		return &sched.Schedule{II: ii, Time: []int{}}, nil
 	}
-
-	// Root certificate 1: counting bound. More instructions in a class
-	// than II rows can hold is unconditionally infeasible.
-	if u := resourceUnsat(g, d, ii); u != nil {
-		return nil, u
-	}
-	// Root certificate 2: positive cycle in the t-SDC. The mii
-	// Bellman–Ford machinery extracts the infeasible constraint cycle.
-	if u := cycleUnsat(g, ii); u != nil {
-		return nil, u
-	}
-
-	st := newSearch(g, d, ii, s.Budget)
-	return st.run()
-}
-
-// resourceUnsat checks the per-class and issue-width counting bounds.
-func resourceUnsat(g *sched.Graph, d *machine.Desc, ii int) *sched.Unsat {
-	var counts [4]int
-	for _, nd := range g.Nodes {
-		counts[nd.FU]++
-	}
-	for fu, c := range counts {
-		if units := sched.UnitsOf(d, machine.FU(fu)); c > ii*units {
-			return &sched.Unsat{II: ii, Kind: sched.UnsatResource, FU: fu, Count: c, Units: units, Visited: 1}
-		}
-	}
-	if iw := sched.IssueWidthOf(d); len(g.Nodes) > ii*iw {
-		return &sched.Unsat{II: ii, Kind: sched.UnsatResource, FU: -1, Count: len(g.Nodes), Units: iw, Visited: 1}
-	}
-	return nil
+	return newSearch(g, d, ii, s.Budget).run()
 }

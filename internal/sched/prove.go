@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"slms/internal/ddg"
 	"slms/internal/machine"
-	"slms/internal/mii"
 )
 
 // Optimality verdicts. Every corpus loop the prover visits gets exactly
@@ -79,26 +77,18 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 		hi = bound
 	}
 
-	resLB := ResourceMinII(g, d)
-	recLB, recCert := recurrenceMinII(g, bound)
-	if recLB == 0 {
+	rec := g.RecMII()
+	if rec == 0 || rec > bound {
 		// No II up to the bound beats the recurrence: infeasible, and
 		// the positive cycle at the bound is the certificate.
 		o := &Optimality{Verdict: VerdictInfeasible, HeurII: heurII}
-		if recCert != nil {
-			o.Cert = recCert.Describe()
+		if u := cycleUnsat(g, bound); u != nil {
+			o.Cert = u.Describe()
 		}
 		return o
 	}
-	lb := resLB
-	lbCert := &Unsat{II: resLB - 1, Kind: UnsatResource}
-	fillResourceCert(g, d, resLB-1, lbCert)
-	if recLB > lb {
-		lb = recLB
-		lbCert = recCert // the cycle forbidding recLB−1
-	}
-
-	lastUnsat := lbCert
+	lb := max(ResourceMinII(g, d), rec)
+	lastUnsat := BoundUnsat(g, d, lb-1)
 	visited := 0
 	// settle reports ii as the proven minimum: every smaller II is
 	// refuted, lastUnsat being the refutation of ii−1, and s is the
@@ -154,72 +144,4 @@ func Prove(g *Graph, d *machine.Desc, ex Scheduler, heurII, maxII int) *Optimali
 		o.Cert = lastUnsat.Describe()
 	}
 	return o
-}
-
-// recurrenceMinII is the recurrence-constrained lower bound: the
-// smallest II admitting no positive-weight cycle, plus the cycle
-// certificate forbidding the II below it (nil when that II is 0).
-// Returns (0, cert-at-bound) when no II up to maxII is valid.
-func recurrenceMinII(g *Graph, maxII int) (int, *Unsat) {
-	dg := toDDG(g)
-	ii := mii.FindMinValid(dg, int64(maxII))
-	if ii == 0 {
-		return 0, cycleCert(g, dg, maxII)
-	}
-	if ii <= 1 {
-		return int(ii), nil
-	}
-	return int(ii), cycleCert(g, dg, int(ii)-1)
-}
-
-// toDDG views the machine-level graph through the ddg/mii cycle
-// machinery (Delay ← Lat): the positive-cycle test and the binding-
-// cycle extraction are shared with the source-level MII search.
-func toDDG(g *Graph) *ddg.Graph {
-	dg := &ddg.Graph{N: g.N()}
-	dg.Edges = make([]ddg.Edge, len(g.Edges))
-	for i, e := range g.Edges {
-		dg.Edges[i] = ddg.Edge{From: e.From, To: e.To, Dist: e.Dist, Delay: e.Lat}
-	}
-	return dg
-}
-
-// cycleCert extracts the positive cycle forbidding ii as an Unsat
-// certificate (nil when ii admits a schedule recurrence-wise).
-func cycleCert(g *Graph, dg *ddg.Graph, ii int) *Unsat {
-	if ii < 1 {
-		return nil
-	}
-	cyc := mii.BindingCycle(dg, int64(ii))
-	if cyc == nil {
-		return nil
-	}
-	u := &Unsat{II: ii, Kind: UnsatCycle}
-	for _, e := range cyc {
-		u.Cycle = append(u.Cycle, Edge{From: e.From, To: e.To, Dist: e.Dist, Lat: e.Delay})
-	}
-	return u
-}
-
-// fillResourceCert completes a resource certificate for the class that
-// overflows ii rows (FU = −1 when the issue width is the bound).
-func fillResourceCert(g *Graph, d *machine.Desc, ii int, u *Unsat) {
-	u.FU = -1
-	u.Count = len(g.Nodes)
-	u.Units = IssueWidthOf(d)
-	if ii < 1 {
-		return
-	}
-	var counts [4]int
-	for _, n := range g.Nodes {
-		counts[n.FU]++
-	}
-	for fu, c := range counts {
-		if c > ii*UnitsOf(d, machine.FU(fu)) {
-			u.FU = fu
-			u.Count = c
-			u.Units = UnitsOf(d, machine.FU(fu))
-			return
-		}
-	}
 }

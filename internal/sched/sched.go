@@ -1,9 +1,8 @@
 // Package sched defines the machine-level modulo-scheduling interface
 // the strong final compilers draw from. A Scheduler attempts to place
 // the instructions of one loop body into a modulo reservation table at
-// a fixed candidate initiation interval; the II search, the MII lower
-// bounds and the register-pressure test stay in the driver (package
-// ims).
+// a fixed candidate initiation interval; the II search and the
+// register-pressure test stay in the driver (package ims).
 //
 // Two implementations exist: Rau's iterative modulo scheduling
 // heuristic (package ims), which always places the loop, and an
@@ -12,6 +11,13 @@
 // Prove (prove.go) runs the exact scheduler below the heuristic's
 // checked schedule, refuting the smaller IIs or handing back a lower
 // schedule.
+//
+// The lower bounds on the II and their certificates have one
+// implementation each, in bound.go: ResourceMinII, the recurrence bound
+// Graph.RecMII (derived once per graph, with the priority order) and
+// BoundUnsat, the certificate they give against any II below them. The
+// driver, Prove and the exact backend's root checks all read them
+// there; Check and Unsat.Recheck, the independent checkers, do not.
 package sched
 
 import (
@@ -47,13 +53,14 @@ type Graph struct {
 	Nodes []Node
 	Edges []Edge
 
-	// prio/heights memoize the height-based priority (see
-	// PriorityOrder): heights depend only on the distance-0 subgraph
-	// and latencies, never on the candidate II, so one computation
-	// serves every retry of the II search.
-	prio     []int
-	heights  []int64
-	prioOnce sync.Once
+	// Memoized by derive, once per graph: the height-based priority
+	// (see PriorityOrder) and the recurrence bound (see RecMII). Neither
+	// depends on the candidate II, so one computation serves every
+	// probe of the II search, heuristic or exact, and Prove.
+	prio    []int
+	heights []int64
+	recMII  int
+	once    sync.Once
 }
 
 // N is the node count.
@@ -93,24 +100,6 @@ type Budget struct {
 
 func (b *Budget) Error() string {
 	return fmt.Sprintf("sched: exact search budget exhausted at II=%d after %d nodes", b.II, b.Visited)
-}
-
-// UnitsOf returns the machine's unit count for a class, normalized the
-// way every backend (and resMII) treats a description: a class with no
-// declared units still executes, one at a time.
-func UnitsOf(d *machine.Desc, fu machine.FU) int {
-	if u := d.Units[fu]; u > 0 {
-		return u
-	}
-	return 1
-}
-
-// IssueWidthOf normalizes the issue width the same way.
-func IssueWidthOf(d *machine.Desc) int {
-	if d.IssueWidth > 0 {
-		return d.IssueWidth
-	}
-	return 1
 }
 
 // Check verifies a schedule against the graph and machine: every
@@ -155,38 +144,15 @@ func Check(g *Graph, d *machine.Desc, s *Schedule) error {
 	return nil
 }
 
-// ResourceMinII is the resource-constrained lower bound over the graph:
-// the smallest II whose reservation table has a row for every node.
-func ResourceMinII(g *Graph, d *machine.Desc) int {
-	var counts [4]int
-	for _, n := range g.Nodes {
-		counts[n.FU]++
-	}
-	iw := IssueWidthOf(d)
-	m := (len(g.Nodes) + iw - 1) / iw
-	for fu, c := range counts {
-		if c == 0 {
-			continue
-		}
-		units := UnitsOf(d, machine.FU(fu))
-		if v := (c + units - 1) / units; v > m {
-			m = v
-		}
-	}
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
 // priorityComputations counts how many times a Graph actually derived
-// its height order — the regression guard for the II-retry path, which
-// used to recompute (and re-sort) the invariant priority on every II
-// bump. See TestPriorityComputedOncePerGraph.
+// its height order and recurrence bound — the regression guard for the
+// II-retry path, which used to re-sort the invariant priority on every
+// II bump, and for the prover, which used to derive the recurrence
+// bound again. See TestRecurrenceBoundDerivedOncePerGraph.
 var priorityComputations atomic.Int64
 
-// PriorityComputations reads the process-wide priority-derivation
-// count (test hook).
+// PriorityComputations reads the process-wide derivation count (test
+// hook).
 func PriorityComputations() int64 { return priorityComputations.Load() }
 
 // Heights returns the height-based priority of every node: the longest
@@ -194,7 +160,7 @@ func PriorityComputations() int64 { return priorityComputations.Load() }
 // ordering. The result is memoized on the graph; callers must not
 // mutate it.
 func (g *Graph) Heights() []int64 {
-	g.prioOnce.Do(g.derivePriority)
+	g.once.Do(g.derive)
 	return g.heights
 }
 
@@ -204,12 +170,23 @@ func (g *Graph) Heights() []int64 {
 // subgraph and latencies, which the II search never changes, so every
 // retry at a bumped II reuses it.
 func (g *Graph) PriorityOrder() []int {
-	g.prioOnce.Do(g.derivePriority)
+	g.once.Do(g.derive)
 	return g.prio
 }
 
-func (g *Graph) derivePriority() {
+// RecMII returns the recurrence bound: the smallest II at which no
+// dependence cycle's latency exceeds II times its distance, or 0 when
+// no II is (a positive cycle of distance 0). It is memoized with the
+// priority order, and the driver's II search, Prove and every exact
+// root check read this one result.
+func (g *Graph) RecMII() int {
+	g.once.Do(g.derive)
+	return g.recMII
+}
+
+func (g *Graph) derive() {
 	priorityComputations.Add(1)
+	g.recMII = recurrenceBound(g)
 	n := len(g.Nodes)
 	succs := make([][]Edge, n)
 	for _, e := range g.Edges {

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -85,6 +86,48 @@ func TestPriorityOrderMemoized(t *testing.T) {
 	}
 	if o1[0] != 0 || o1[1] != 1 || o1[2] != 2 {
 		t.Fatalf("order = %v, want [0 1 2]", o1)
+	}
+}
+
+// TestRecurrenceBoundDerivedOncePerGraph: the recurrence bound is
+// derived once per graph, with the priority order, and Prove and every
+// exact probe read it. A probe at or above the bound runs no cycle
+// extraction; Prove extracts only the cycle certifying the bound, and a
+// probe below it only the cycle refuting that II.
+func TestRecurrenceBoundDerivedOncePerGraph(t *testing.T) {
+	d := testMachine(1, 1, 1, 4)
+	// A two-node recurrence of total latency 4 over distance 1: RecMII 4.
+	g := &sched.Graph{
+		Nodes: []sched.Node{{FU: machine.FUInt, Lat: 2}, {FU: machine.FUFloat, Lat: 2}},
+		Edges: []sched.Edge{{From: 0, To: 1, Lat: 2}, {From: 1, To: 0, Dist: 1, Lat: 2}},
+	}
+	derived, extracted := sched.PriorityComputations(), sched.CycleExtractions()
+	ex := &exact.Sched{Budget: -1}
+	o := sched.Prove(g, d, ex, 6, 20)
+	if o.Verdict != sched.VerdictGap || o.ExactII != 4 || !strings.Contains(o.Cert, "II=3 infeasible: recurrence") {
+		t.Fatalf("verdict %+v, want a gap at the recurrence bound 4, certified by the cycle at 3", o)
+	}
+	if got := sched.CycleExtractions() - extracted; got != 1 {
+		t.Errorf("the proof extracted %d cycles, want 1: the certificate of the bound", got)
+	}
+	for ii := 4; ii <= 6; ii++ {
+		if s, err := ex.Schedule(g, d, ii); s == nil {
+			t.Fatalf("II=%d at or above the bound: %v", ii, err)
+		}
+	}
+	if got := sched.CycleExtractions() - extracted; got != 1 {
+		t.Errorf("probes at or above the bound ran %d cycle extractions", got-1)
+	}
+	_, err := ex.Schedule(g, d, 3)
+	var u *sched.Unsat
+	if !errors.As(err, &u) || u.Kind != sched.UnsatCycle || u.Recheck(g, d) != nil {
+		t.Fatalf("II=3 below the bound: %v, want a cycle certificate that rechecks", err)
+	}
+	if got := sched.CycleExtractions() - extracted; got != 2 {
+		t.Errorf("%d cycle extractions after the probe below the bound, want 2", got)
+	}
+	if got := sched.PriorityComputations() - derived; got != 1 || g.RecMII() != 4 {
+		t.Errorf("derived %d times (RecMII %d), want once (4)", got, g.RecMII())
 	}
 }
 

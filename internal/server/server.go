@@ -239,10 +239,11 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		access:    s.access,
 	}
 
-	// slow is the full request path. st, when non-nil, holds the already
-	// read body (endpoint-prefixed) and its digest; began reports that
-	// the fast path already registered the request with drain control.
-	slow := func(w http.ResponseWriter, r *http.Request, seq int64, start time.Time, st *fastReq, tooLarge, began bool) {
+	// slow is the full request path. st holds the body the fast path
+	// read (endpoint-prefixed) and its digest, after registering the
+	// request with drain control; it is nil only for a request refused
+	// before either: a non-POST or a POST to a draining server.
+	slow := func(w http.ResponseWriter, r *http.Request, seq int64, start time.Time, st *fastReq, tooLarge bool) {
 		// The request ID: a valid W3C traceparent contributes its
 		// trace-id; anything else — including a malformed header, which
 		// must never fail the request — gets a minted ID.
@@ -310,11 +311,9 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 				msg: fmt.Sprintf("%s requires POST", pattern)})
 			return
 		}
-		if !began {
-			if !s.beginRequest() {
-				fail(errDraining)
-				return
-			}
+		if st == nil { // draining: the fast path's beginRequest refused it
+			fail(errDraining)
+			return
 		}
 		defer s.endRequest()
 
@@ -332,11 +331,6 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 			}
 		}()
 
-		if st == nil { // fast path never ran (drain raced); read the body now
-			st = getFastReq()
-			st.buf = append(append(st.buf[:0], name...), 0)
-			tooLarge = st.readBody(r.Body, s.cfg.MaxBodyBytes)
-		}
 		req, aerr := decodeRequestBytes(st.body(len(name)+1), s.cfg.MaxBodyBytes, tooLarge)
 		if aerr != nil {
 			fail(aerr)
@@ -353,9 +347,8 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 
 		// Thread the ID down: the root span stamps it on every child
 		// (per-loop transform spans, simulator legs) and on the
-		// decision records they emit; the context carries it to code
-		// that only sees ctx.
-		ctx = obs.ContextWithRequestID(ctx, reqID)
+		// decision records they emit; the context carries the span to
+		// code that only sees ctx.
 		sp = obs.RootRequest("server."+name, reqID).Attr("request", reqID)
 		defer sp.End()
 		ctx = obs.ContextWithSpan(ctx, sp)
@@ -418,12 +411,8 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		s.reqCtr.Add(1)
 		requests.Add(1)
 
-		if r.Method != http.MethodPost {
-			slow(w, r, seq, start, nil, false, false)
-			return
-		}
-		if !s.beginRequest() {
-			slow(w, r, seq, start, nil, false, false)
+		if r.Method != http.MethodPost || !s.beginRequest() {
+			slow(w, r, seq, start, nil, false)
 			return
 		}
 		st := getFastReq()
@@ -470,7 +459,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 				return
 			}
 		}
-		slow(w, r, seq, start, st, tooLarge, true)
+		slow(w, r, seq, start, st, tooLarge)
 	}
 	s.mux.HandleFunc(pattern, fn)
 	s.routes[name] = fn

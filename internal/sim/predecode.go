@@ -35,12 +35,13 @@ type Predecoded struct {
 
 // runState is the pooled per-run mutable half of a simulation. It grows
 // to the largest function it has served; a run uses and clears only the
-// prefix its function needs.
+// prefix its function needs. prof is readied only for a profiled run.
 type runState struct {
 	regs     []value
 	regReady []int64
 	bindings []arrayBinding
 	cache    *cache
+	prof     profState
 }
 
 // statePools maps a machine cache to the pool of run states whose L1
@@ -119,13 +120,18 @@ func (pd *Predecoded) getState() *runState {
 	st.regReady = zeroed(st.regReady, pd.f.NumRegs)
 	st.bindings = append(st.bindings[:0], pd.defs...)
 	st.cache.reset()
+	if pd.profiled {
+		st.prof.reset(pd.tables, pd.f)
+	}
 	return st
 }
 
-// putState returns st to its pool, dropping the run's array bindings so
-// a pooled state keeps no environment alive.
+// putState returns st to its pool, dropping the run's array bindings
+// and profiler tables so a pooled state keeps no environment or
+// predecode alive.
 func (pd *Predecoded) putState(st *runState) {
 	clear(st.bindings)
+	st.prof.profTables = nil
 	pd.states.Put(st)
 }
 
@@ -172,7 +178,7 @@ func (pd *Predecoded) RunCtx(ctx context.Context, env *interp.Env, maxInstrs int
 		s.nextCtxCheck = ctxCheckInterval
 	}
 	if pd.profiled {
-		s.pr = newProfState(pd.tables, pd.f)
+		s.pr = &st.prof
 	}
 	// Seed scalar home registers from the environment.
 	f := pd.f

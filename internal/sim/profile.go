@@ -8,10 +8,10 @@ import (
 	"slms/internal/prof"
 )
 
-// profState is the per-Run cycle-attribution accumulator. It is
-// allocated once at Run start (only for a profiled predecode), written
-// through dense index arithmetic on the hot path — no maps, no
-// allocation — and folded into a prof.Profile at Run exit.
+// profState is the per-Run cycle-attribution accumulator. It lives in
+// the pooled run state and is readied at Run start (only for a profiled
+// predecode), written through dense index arithmetic on the hot path —
+// no maps, no allocation — and folded into a prof.Profile at Run exit.
 //
 // Two granularities mirror the two issue policies: dynamic (in-order)
 // machines charge the slot of the instruction that stalled or issued,
@@ -69,13 +69,13 @@ func (t *profTables) slotFor(block int, line int32) int32 {
 	return s
 }
 
-func newProfState(t *profTables, f *ir.Func) *profState {
-	return &profState{
-		profTables:  t,
-		slotCounts:  make([]int64, len(t.slotLine)*prof.NumCauses),
-		blockCounts: make([]int64, len(f.Blocks)*prof.NumCauses),
-		missReady:   make([]bool, f.NumRegs),
-	}
+// reset readies p for a run over t's slots and f's blocks and
+// registers: every counter zeroed, storage reused across runs.
+func (p *profState) reset(t *profTables, f *ir.Func) {
+	p.profTables = t
+	p.slotCounts = zeroed(p.slotCounts, len(t.slotLine)*prof.NumCauses)
+	p.blockCounts = zeroed(p.blockCounts, len(f.Blocks)*prof.NumCauses)
+	p.missReady = zeroed(p.missReady, f.NumRegs)
 }
 
 // charge attributes n cycles to an instruction slot (dynamic issue).
