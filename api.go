@@ -130,9 +130,11 @@ func Measure(p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env))
 type Modes = pipeline.Modes
 
 // MeasureCtx is Measure honoring a context and modes: the simulator
-// polls the deadline every few thousand simulated instructions and
-// uncached compilation checks it between scheduling rounds, so ctx
-// bounds the whole measurement. The returned error wraps ctx.Err() on
+// polls the deadline every few thousand simulated instructions and the
+// driver checks it between legs. Transformation and compilation go
+// through the shared pipeline cache, which runs each to completion and
+// checks ctx only after it returns, so a deadline does not cut a long
+// compile short (ROADMAP item 1). The returned error wraps ctx.Err() on
 // cancellation (test with errors.Is(err, context.DeadlineExceeded)).
 func MeasureCtx(ctx context.Context, p *Program, m *Machine, cc Compiler, opts Options, seed func(*Env),
 	modes Modes) (*Metrics, error) {
@@ -148,18 +150,19 @@ func MeasureCtx(ctx context.Context, p *Program, m *Machine, cc Compiler, opts O
 
 // Telemetry: the library mirrors the CLIs' -trace/-metrics surface.
 // StartTrace/StopTrace bracket a traced region; while a trace is active
-// every Transform/Measure call records phase spans and per-loop
-// decision records at near-zero overhead (disabled, the
-// instrumentation is a single atomic load).
+// every Transform/Measure call records a span tree ("transform" or
+// "experiment" at its root) whose loop spans hold the per-loop decision
+// records, at near-zero overhead (disabled, the instrumentation is a
+// single atomic load).
 
-// Tracer collects pipeline spans and per-loop decision records.
+// Tracer collects pipeline span trees, decision records included.
 type Tracer = obs.Tracer
 
 // Decision is one per-loop accept/skip/refute record: a stable SLMS2xx
-// code, the verdict, the loop position and the measured evidence
-// (filter ratio, II search iterations, ...) the decision rests on.
-// Every Result carries its Decision; a tracer additionally collects
-// them process-wide.
+// code, the verdict and the measured evidence (filter ratio, II search
+// iterations, ...) the decision rests on. Every Result carries its
+// Decision, and its loop position in Result.Pos; a tracer additionally
+// files each as an event of the loop's span.
 type Decision = obs.Decision
 
 // Trace export formats accepted by StopTrace.
@@ -189,8 +192,8 @@ func StopTrace(w io.Writer, format string) (*Tracer, error) {
 	return t, t.WriteTrace(w, format)
 }
 
-// Decisions returns the per-loop decision records collected by the
-// active tracer, in the order they were made (nil when tracing is off).
+// Decisions returns the per-loop decision records the active tracer's
+// spans hold, in span creation order (nil when tracing is off).
 func Decisions() []Decision {
 	if t := obs.Active(); t != nil {
 		return t.Decisions()

@@ -1,8 +1,12 @@
 package slms_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,5 +131,72 @@ func TestProfilingAPI(t *testing.T) {
 		} else if buf.Len() == 0 {
 			t.Errorf("WriteProfile %s produced nothing", format)
 		}
+	}
+}
+
+// TestTraceAPI: under StartTrace, Transform and Measure each write a
+// span tree of their own ("transform", "experiment"), every decision
+// record is an event of a loop span, and Decisions reads the records
+// from the spans in creation order.
+func TestTraceAPI(t *testing.T) {
+	prog, err := slms.Parse(`
+		float A[128]; float B[128];
+		float t = 0.0;
+		for (i = 1; i < 120; i++) {
+			t = A[i-1];
+			B[i] = B[i] + t;
+		}
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slms.StartTrace()
+	_, results, terr := slms.Transform(prog, slms.DefaultOptions())
+	_, merr := slms.Measure(prog, slms.MachineIA64(), slms.CompilerWeak, slms.DefaultOptions(), nil)
+	decs := slms.Decisions()
+	var buf bytes.Buffer
+	_, werr := slms.StopTrace(&buf, slms.TraceFormatJSONL)
+	if err := errors.Join(terr, merr, werr); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || len(decs) == 0 || !reflect.DeepEqual(decs[0], results[0].Decision) {
+		t.Fatalf("Decisions() = %+v, want Transform's record %+v first", decs, results)
+	}
+	type record struct {
+		Type string `json:"type"`
+		ID   int64  `json:"id"`
+		Root int64  `json:"root"`
+		Span int64  `json:"span"`
+		Name string `json:"name"`
+	}
+	spans := map[int64]record{}
+	roots := map[string]bool{}
+	var lines []record
+	for _, l := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var r record
+		if err := json.Unmarshal([]byte(l), &r); err != nil {
+			t.Fatalf("trace line %q: %v", l, err)
+		}
+		if r.Type == "span" {
+			spans[r.ID] = r
+			roots[r.Name] = roots[r.Name] || r.ID == r.Root
+		}
+		lines = append(lines, r)
+	}
+	if !roots["transform"] || !roots["experiment"] {
+		t.Errorf("span tree roots = %v, want transform and experiment", roots)
+	}
+	n := 0
+	for _, r := range lines {
+		if r.Type != "decision" {
+			continue
+		}
+		n++
+		if sp, ok := spans[r.Span]; !ok || !strings.HasPrefix(sp.Name, "loop@") || sp.Root != r.Root {
+			t.Errorf("decision names span %d (root %d), found %+v", r.Span, r.Root, sp)
+		}
+	}
+	if n != len(decs) {
+		t.Errorf("trace holds %d decision records, Decisions() %d", n, len(decs))
 	}
 }

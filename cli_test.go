@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -320,6 +321,67 @@ func TestCLIProfileFlags(t *testing.T) {
 	}
 	if second, err := os.ReadFile(again); err != nil || !bytes.Equal(first, second) {
 		t.Errorf("two slmsbench -profile runs wrote different files (err %v)", err)
+	}
+}
+
+// TestCLIDecisionsSitInSpanTrees: a traced CLI run files every decision
+// record as an event of a span in its trace, and that span carries the
+// run's -request-id — also on the paths that open no span of their own
+// (slmslint, the SLC driver, the bench census).
+func TestCLIDecisionsSitInSpanTrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	const reqID = "req-decisions"
+	src := filepath.Join("internal", "core", "testdata", "multiloop.c")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		tool string
+		args []string
+	}{
+		{"slmslint", []string{src}},
+		{"slmsc", []string{"-slc", src}},
+		{"slmsbench", []string{"-census"}},
+	} {
+		trace := filepath.Join(dir, c.tool+".jsonl")
+		args := append([]string{"-q", "-trace", trace, "-trace-format", "jsonl", "-request-id", reqID}, c.args...)
+		runTool(t, buildTool(t, c.tool), "", args...)
+		blob, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type record struct {
+			Type string `json:"type"`
+			ID   int64  `json:"id"`
+			Span int64  `json:"span"`
+			Root int64  `json:"root"`
+			Req  string `json:"request_id"`
+			Code string `json:"code"`
+		}
+		spans := map[int64]record{}
+		var decisions []record
+		for _, line := range strings.Split(strings.TrimSpace(string(blob)), "\n") {
+			var r record
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("%s: trace line %q: %v", c.tool, line, err)
+			}
+			switch r.Type {
+			case "span":
+				spans[r.ID] = r
+			case "decision":
+				decisions = append(decisions, r)
+			}
+		}
+		if len(decisions) == 0 {
+			t.Errorf("%s %v wrote no decision records", c.tool, c.args)
+		}
+		for _, d := range decisions {
+			sp, ok := spans[d.Span]
+			if !ok || sp.Root != d.Root || sp.Req != reqID || d.Req != reqID {
+				t.Errorf("%s: decision %s names span %d (root %d, request %q), found %v with %+v",
+					c.tool, d.Code, d.Span, d.Root, d.Req, ok, sp)
+			}
+		}
 	}
 }
 

@@ -13,11 +13,11 @@
 //
 // Observability: every request carries a request ID (minted, or adopted
 // from an incoming W3C traceparent header) that stamps the response's
-// X-Request-ID header, the access log, and the request's span tree and
-// decision records. /metrics serves the registry in Prometheus text
-// format; /v1/status serves rolling SLO windows. The access log (one
-// line per request) goes to -access-log: stderr by default, a file
-// path, stdout, or off.
+// X-Request-ID header, the access log, and the request's span tree,
+// whose loop spans hold its decision records. /metrics serves the
+// registry in Prometheus text format; /v1/status serves rolling SLO
+// windows. The access log (one line per request) goes to -access-log:
+// stderr by default, a file path, stdout, or off.
 //
 // Postmortem: a flight recorder (internal/obs/flight) keeps recent
 // requests per endpoint in fixed memory and dumps a self-contained

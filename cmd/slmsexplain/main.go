@@ -97,9 +97,11 @@ func dotDDG(g *ddg.Graph, mis []source.Stmt) string {
 }
 
 // printDecision renders a loop's decision record: the stable code, the
-// verdict, and the measured evidence (sorted for deterministic output).
-func printDecision(d obs.Decision) {
-	fmt.Printf("decision: %s verdict=%s loop=%s", d.Code, d.Verdict, d.Loop)
+// verdict, the loop's position and the measured evidence (sorted for
+// deterministic output).
+func printDecision(r *core.Result) {
+	d := r.Decision
+	fmt.Printf("decision: %s verdict=%s loop=%s", d.Code, d.Verdict, r.Pos)
 	if d.Reason != "" {
 		fmt.Printf(" (%s)", d.Reason)
 	}
@@ -171,13 +173,13 @@ func explainLoop(r *core.Result, idx int) {
 
 	if !r.Applied {
 		fmt.Printf("SLMS not applied: %s\n", r.Reason)
-		printDecision(r.Decision)
+		printDecision(r)
 		fmt.Println()
 		return
 	}
 	fmt.Printf("SLMS applied: II=%d MIs=%d stages=%d unroll=%d decompositions=%d\n",
 		r.II, r.MIs, r.Stages, r.Unroll, r.Decompositions)
-	printDecision(r.Decision)
+	printDecision(r)
 	for _, line := range r.Log {
 		fmt.Printf("  %s\n", line)
 	}

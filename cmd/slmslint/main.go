@@ -84,7 +84,7 @@ func main() {
 	failed := false
 	for _, name := range flag.Args() {
 		// Read and parse failures exit 2 per the documented contract;
-		// the slog wrapper keeps diagnostics uniform across commands.
+		// the CLI logger keeps diagnostics uniform across commands.
 		if err := r.ReadSource(name); err != nil {
 			obs.Usagef("%v", err)
 		}

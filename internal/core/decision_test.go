@@ -38,7 +38,7 @@ func TestEveryLoopHasDecisionRecord(t *testing.T) {
 				d := r.Decision
 				if !strings.HasPrefix(d.Code, "SLMS2") {
 					t.Errorf("loop %d (%s): decision code %q is not a stable SLMS2xx code",
-						i, d.Loop, d.Code)
+						i, r.Pos, d.Code)
 				}
 				wantVerdict := obs.VerdictSkip
 				if r.Applied {
@@ -46,14 +46,14 @@ func TestEveryLoopHasDecisionRecord(t *testing.T) {
 				}
 				if d.Verdict != wantVerdict {
 					t.Errorf("loop %d (%s): verdict %q inconsistent with applied=%v",
-						i, d.Loop, d.Verdict, r.Applied)
+						i, r.Pos, d.Verdict, r.Applied)
 				}
-				if d.Loop == "" {
-					t.Errorf("loop %d: decision has no loop position", i)
+				if r.Pos.Line == 0 {
+					t.Errorf("loop %d: result has no loop position", i)
 				}
 				if r.Applied && d.Code != obs.DecApplied {
 					t.Errorf("loop %d (%s): applied loop has code %s, want %s",
-						i, d.Loop, d.Code, obs.DecApplied)
+						i, r.Pos, d.Code, obs.DecApplied)
 				}
 				// Wherever the filter counted references, the record must
 				// carry the measured ratio.
@@ -61,17 +61,17 @@ func TestEveryLoopHasDecisionRecord(t *testing.T) {
 					ratio, ok := d.Attrs["filter_ratio"].(float64)
 					if !ok {
 						t.Errorf("loop %d (%s): decision lacks measured filter_ratio (attrs=%v)",
-							i, d.Loop, d.Attrs)
+							i, r.Pos, d.Attrs)
 					} else if ratio != r.Filter.MemRefRatio {
 						t.Errorf("loop %d (%s): filter_ratio %v != measured %v",
-							i, d.Loop, ratio, r.Filter.MemRefRatio)
+							i, r.Pos, ratio, r.Filter.MemRefRatio)
 					}
 				}
 				// A filter skip specifically must state the threshold it
 				// compared against.
 				if d.Code == obs.DecMemRefFilter {
 					if _, ok := d.Attrs["threshold"]; !ok {
-						t.Errorf("loop %d (%s): filter skip lacks threshold attr", i, d.Loop)
+						t.Errorf("loop %d (%s): filter skip lacks threshold attr", i, r.Pos)
 					}
 				}
 			}
@@ -79,37 +79,56 @@ func TestEveryLoopHasDecisionRecord(t *testing.T) {
 	}
 }
 
-// A skipped loop's decision must also be filed with the active tracer,
-// so slmsexplain and trace consumers see it without holding the Result.
+// A skipped loop's decision must also be filed as an event of the
+// loop's span, so slmsexplain and trace consumers see it without
+// holding the Result — under the caller's span tree, or under a
+// "transform" root of its own when the caller has none.
 func TestDecisionsReachTracer(t *testing.T) {
-	tr := obs.NewTracer()
-	obs.Enable(tr)
-	t.Cleanup(obs.Disable)
-
 	prog := source.MustParse(`
 		float A[100]; float B[100];
 		for (i = 0; i < 100; i++) {
 			A[i] = B[i];
 		}
 	`)
-	sp := obs.Root("test")
-	_, results, err := TransformProgramSpan(sp, prog, DefaultOptions())
-	sp.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].Applied {
-		t.Fatalf("want one skipped loop, got %+v", results)
-	}
-	decs := tr.Decisions()
-	if len(decs) != 1 {
-		t.Fatalf("tracer collected %d decisions, want 1", len(decs))
-	}
-	if decs[0].Code != obs.DecMemRefFilter || decs[0].Verdict != obs.VerdictSkip {
-		t.Errorf("tracer decision = %s/%s, want %s/skip",
-			decs[0].Code, decs[0].Verdict, obs.DecMemRefFilter)
-	}
-	if decs[0].SpanRoot == 0 {
-		t.Error("tracer decision not linked to its span tree")
+	for _, parent := range []string{"test", ""} {
+		tr := obs.NewTracer()
+		obs.Enable(tr)
+		var sp *obs.Span
+		if parent != "" {
+			sp = obs.Root(parent)
+		}
+		_, results, err := TransformProgramSpan(sp, prog, DefaultOptions())
+		sp.End()
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1 || results[0].Applied {
+			t.Fatalf("want one skipped loop, got %+v", results)
+		}
+		decs := tr.Decisions()
+		if len(decs) != 1 {
+			t.Fatalf("tracer collected %d decisions, want 1", len(decs))
+		}
+		if decs[0].Code != obs.DecMemRefFilter || decs[0].Verdict != obs.VerdictSkip {
+			t.Errorf("tracer decision = %s/%s, want %s/skip",
+				decs[0].Code, decs[0].Verdict, obs.DecMemRefFilter)
+		}
+		wantRoot := parent
+		if wantRoot == "" {
+			wantRoot = "transform"
+		}
+		spans := tr.Spans()
+		for _, s := range spans {
+			if len(s.Decisions()) == 0 {
+				continue
+			}
+			if want := "loop@" + results[0].Pos.String(); s.Name != want {
+				t.Errorf("decision filed on span %q, want %q", s.Name, want)
+			}
+			if root := s.Tree()[0]; root.Name != wantRoot || root.ID != s.RootID {
+				t.Errorf("decision's span tree is rooted at %q, want %q", root.Name, wantRoot)
+			}
+		}
 	}
 }

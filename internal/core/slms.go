@@ -74,8 +74,8 @@ type Result struct {
 	SearchIters int
 	// Decision is the loop's decision record: the stable code, verdict
 	// (accept/skip) and measured evidence (filter ratio, MII/II, search
-	// iterations, MVE degree). Always populated, also filed with the
-	// active tracer (see internal/obs).
+	// iterations, MVE degree). Always populated, also filed as an event
+	// of the loop's span when tracing is on (see internal/obs).
 	Decision obs.Decision
 
 	// Replacement is the statement that replaces the original loop
@@ -98,7 +98,7 @@ func (r *Result) logf(format string, args ...any) {
 }
 
 // decide finalizes the loop's decision record: stored on the result and
-// filed with the active tracer. attrs may be nil.
+// filed as an event of the loop's span. attrs may be nil.
 func (r *Result) decide(sp *obs.Span, code, verdict string, attrs map[string]any) {
 	if attrs == nil {
 		attrs = map[string]any{}
@@ -111,11 +111,7 @@ func (r *Result) decide(sp *obs.Span, code, verdict string, attrs map[string]any
 	if r.SearchIters > 0 {
 		attrs["search_iterations"] = r.SearchIters
 	}
-	r.Decision = obs.Decision{
-		Code: code, Verdict: verdict, Loop: r.Pos.String(),
-		Reason: r.Reason, Attrs: attrs,
-	}
-	sp.Attr("decision", code)
+	r.Decision = obs.Decision{Code: code, Verdict: verdict, Reason: r.Reason, Attrs: attrs}
 	obs.RecordDecision(sp, r.Decision)
 }
 
@@ -128,10 +124,16 @@ func Transform(f *source.For, tab *sem.Table, opts Options) (*Result, error) {
 }
 
 // TransformSpan is Transform under a parent trace span: the loop gets a
-// child span annotated with the decision evidence, and each algorithm
-// phase (canonicalize, if-conversion, dependence analysis, filter, II
-// search, kernel emission) a nested span plus a phase histogram entry.
+// child span holding its decision record, and each algorithm phase
+// (canonicalize, if-conversion, dependence analysis, filter, II search,
+// kernel emission) a nested span plus a phase histogram entry. With
+// tracing on and no parent, the transform is its own span tree, rooted
+// at "transform".
 func TransformSpan(parent *obs.Span, f *source.For, tab *sem.Table, opts Options) (*Result, error) {
+	if parent == nil {
+		parent = obs.Root("transform")
+		defer parent.End()
+	}
 	return transformSpanGuards(parent, f, tab, opts, nil)
 }
 
@@ -437,8 +439,14 @@ func TransformProgram(p *source.Program, opts Options) (*source.Program, []*Resu
 }
 
 // TransformProgramSpan is TransformProgram under a parent trace span
-// ("sem" and per-loop child spans; see TransformSpan).
+// ("sem" and per-loop child spans; see TransformSpan). With tracing on
+// and no parent, the transform is its own span tree, rooted at
+// "transform".
 func TransformProgramSpan(sp *obs.Span, p *source.Program, opts Options) (*source.Program, []*Result, error) {
+	if sp == nil {
+		sp = obs.Root("transform")
+		defer sp.End()
+	}
 	out := source.CloneProgram(p)
 	semSp := sp.Child("sem")
 	info, err := sem.Check(out)

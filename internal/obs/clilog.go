@@ -1,31 +1,28 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"sync/atomic"
 )
 
 // CLI logging. The examples and commands used to mix log.Fatal with raw
 // fmt prints to stdout and stderr; every status/diagnostic line now
-// goes through one slog-backed helper so the -q (quiet) flag works
-// uniformly and primary program output (tables, transformed source)
-// stays clean on stdout.
+// goes through one helper so the -q (quiet) flag works uniformly and
+// primary program output (tables, transformed source) stays clean on
+// stdout.
 //
-// The handler prints bare "slms: msg [k=v ...]" lines without
-// timestamps: CLI status output must be deterministic and diff-able.
+// Each line is a bare "slms: [error: |warning: ]msg" without a
+// timestamp, written with one Write: CLI status output must be
+// deterministic and diff-able.
 
 var (
 	logQuiet atomic.Bool
-	logger   atomic.Pointer[slog.Logger]
+	logOut   atomic.Pointer[io.Writer]
 )
 
-func init() {
-	logger.Store(slog.New(&cliHandler{w: os.Stderr}))
-}
+func init() { SetLogOutput(os.Stderr) }
 
 // SetQuiet suppresses Logf (info-level) output; warnings and errors are
 // always printed. CLIs wire this to a -q flag.
@@ -35,25 +32,27 @@ func SetQuiet(on bool) { logQuiet.Store(on) }
 func Quiet() bool { return logQuiet.Load() }
 
 // SetLogOutput redirects the CLI logger (tests capture output).
-func SetLogOutput(w io.Writer) { logger.Store(slog.New(&cliHandler{w: w})) }
+func SetLogOutput(w io.Writer) { logOut.Store(&w) }
+
+// logLine writes one "slms: <level>msg" line.
+func logLine(level, format string, args []any) {
+	b := append([]byte("slms: "), level...)
+	b = fmt.Appendf(b, format, args...)
+	(*logOut.Load()).Write(append(b, '\n'))
+}
 
 // Logf prints an info-level status line unless quiet is set.
 func Logf(format string, args ...any) {
-	if logQuiet.Load() {
-		return
+	if !logQuiet.Load() {
+		logLine("", format, args)
 	}
-	logger.Load().Info(fmt.Sprintf(format, args...))
 }
 
 // Warnf prints a warning (not suppressed by quiet).
-func Warnf(format string, args ...any) {
-	logger.Load().Warn(fmt.Sprintf(format, args...))
-}
+func Warnf(format string, args ...any) { logLine("warning: ", format, args) }
 
 // Errorf prints an error (not suppressed by quiet).
-func Errorf(format string, args ...any) {
-	logger.Load().Error(fmt.Sprintf(format, args...))
-}
+func Errorf(format string, args ...any) { logLine("error: ", format, args) }
 
 // Fatalf prints an error and exits with status 1.
 func Fatalf(format string, args ...any) {
@@ -73,44 +72,3 @@ func Usagef(format string, args ...any) {
 
 // osExit is swapped out by tests.
 var osExit = os.Exit
-
-// cliHandler is a minimal slog.Handler: "slms: [level:] msg [k=v ...]",
-// no timestamps.
-type cliHandler struct {
-	w     io.Writer
-	attrs []slog.Attr
-}
-
-func (h *cliHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *cliHandler) Handle(_ context.Context, r slog.Record) error {
-	var b []byte
-	b = append(b, "slms: "...)
-	switch {
-	case r.Level >= slog.LevelError:
-		b = append(b, "error: "...)
-	case r.Level >= slog.LevelWarn:
-		b = append(b, "warning: "...)
-	}
-	b = append(b, r.Message...)
-	emit := func(a slog.Attr) bool {
-		b = append(b, ' ')
-		b = append(b, a.Key...)
-		b = append(b, '=')
-		b = append(b, a.Value.String()...)
-		return true
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(emit)
-	b = append(b, '\n')
-	_, err := h.w.Write(b)
-	return err
-}
-
-func (h *cliHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &cliHandler{w: h.w, attrs: append(append([]slog.Attr{}, h.attrs...), attrs...)}
-}
-
-func (h *cliHandler) WithGroup(string) slog.Handler { return h }

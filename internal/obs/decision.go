@@ -1,6 +1,6 @@
 package obs
 
-import "time"
+import "sync"
 
 // Decision-record codes. The codes are stable identifiers (SLMS2xx, the
 // decision range; internal/analysis owns SLMS0xx/1xx for verification
@@ -50,79 +50,60 @@ const (
 // pipelined, skipped, or (under the verify gate) refuted. Attrs carries
 // the measured evidence — filter ratio, MII/II, search iterations, MVE
 // degree — so a decision is diagnosable without re-running the
-// pipeline.
+// pipeline. It is also the wire form slmsd replies with. Where and when
+// it was made belong to the span it is an event of: the loop's
+// position is the span's name (loop@line:col) and core.Result.Pos.
 type Decision struct {
-	Time    time.Time `json:"time"`
-	Code    string    `json:"code"`
-	Verdict string    `json:"verdict"`
-	// Loop locates the loop ("line:col" of the for statement).
-	Loop   string         `json:"loop"`
-	Reason string         `json:"reason,omitempty"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
-	// SpanRoot ties the decision to the span tree it was made under
-	// (0 when recorded outside any span).
-	SpanRoot int64 `json:"span_root,omitempty"`
-	// RequestID correlates the decision with the served request (or the
-	// CLI -request-id) whose span tree it was recorded under.
-	RequestID string `json:"request_id,omitempty"`
+	Code    string         `json:"code"`
+	Verdict string         `json:"verdict"`
+	Reason  string         `json:"reason,omitempty"`
+	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
-// jsonRecord is the JSONL wire form ({"type":"decision",...}).
-func (d Decision) jsonRecord() map[string]any {
-	m := map[string]any{
-		"type":    "decision",
-		"time":    d.Time.Format(time.RFC3339Nano),
-		"code":    d.Code,
-		"verdict": d.Verdict,
-		"loop":    d.Loop,
-	}
-	if d.Reason != "" {
-		m["reason"] = d.Reason
-	}
-	if len(d.Attrs) > 0 {
-		m["attrs"] = d.Attrs
-	}
-	if d.SpanRoot != 0 {
-		m["span_root"] = d.SpanRoot
-	}
-	if d.RequestID != "" {
-		m["request_id"] = d.RequestID
-	}
-	return m
-}
+// The slms.decisions.<verdict> counters, each registered on its
+// verdict's first decision.
+var (
+	acceptCount = sync.OnceValue(func() *Counter { return CounterName("slms.decisions." + VerdictAccept) })
+	skipCount   = sync.OnceValue(func() *Counter { return CounterName("slms.decisions." + VerdictSkip) })
+	refuteCount = sync.OnceValue(func() *Counter { return CounterName("slms.decisions." + VerdictRefute) })
+)
 
-// RecordDecision files d with the active tracer (stamping the time if
-// unset) and bumps the per-verdict decision counters. A no-op beyond
-// one counter increment when tracing is disabled.
+// RecordDecision bumps d's verdict counter and files d as an event of
+// sp, the span it was made under. With tracing disabled sp is nil and
+// only the counter moves.
 func RecordDecision(sp *Span, d Decision) {
-	CounterName("slms.decisions." + d.Verdict).Add(1)
-	t := active.Load()
-	if t == nil {
+	switch d.Verdict {
+	case VerdictAccept:
+		acceptCount().Add(1)
+	case VerdictSkip:
+		skipCount().Add(1)
+	case VerdictRefute:
+		refuteCount().Add(1)
+	}
+	if sp == nil {
 		return
 	}
-	if d.Time.IsZero() {
-		d.Time = time.Now()
-	}
-	if sp != nil {
-		d.SpanRoot = sp.RootID
-	}
-	if d.RequestID == "" {
-		if sp != nil && sp.Req != "" {
-			d.RequestID = sp.Req
-		} else {
-			d.RequestID = RequestID()
-		}
-	}
-	t.mu.Lock()
-	t.decs = append(t.decs, d)
-	t.mu.Unlock()
+	sp.mu.Lock()
+	sp.decs = append(sp.decs, d)
+	sp.mu.Unlock()
 }
 
-// Decisions returns the tracer's decision records in arrival order.
+// Decisions returns a copy of the decisions made under the span.
+func (s *Span) Decisions() []Decision {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Decision(nil), s.decs...)
+}
+
+// Decisions returns every decision the tracer's spans hold, in span
+// creation order.
 func (t *Tracer) Decisions() []Decision {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Decision, len(t.decs))
-	copy(out, t.decs)
+	var out []Decision
+	for _, s := range t.Spans() {
+		out = append(out, s.Decisions()...)
+	}
 	return out
 }

@@ -254,21 +254,19 @@ func DecodeFile(path string) (*Dump, error) {
 // summaries, not traces.
 const spanNoteCap = 64
 
-// SpanTree summarizes the span tree rooted at root from t's collected
-// spans: creation order, depth from the parent chain, durations in
-// microseconds. Returns nil when tracing is off (t or root nil) — the
-// caller synthesizes a one-note summary so captured requests always
-// carry one.
-func SpanTree(t *obs.Tracer, root *obs.Span) []SpanNote {
-	if t == nil || root == nil {
+// SpanTree summarizes the span tree rooted at root: creation order,
+// depth from the parent chain, durations in microseconds. It reads that
+// tree alone, so a capture costs the same however many trees the tracer
+// holds. Returns nil when tracing is off (root nil) — the caller
+// synthesizes a one-note summary so captured requests always carry one.
+func SpanTree(root *obs.Span) []SpanNote {
+	spans := root.Tree()
+	if spans == nil {
 		return nil
 	}
-	depth := map[int64]int{}
-	notes := make([]SpanNote, 0, 16)
-	for _, sp := range t.Spans() {
-		if sp.RootID != root.RootID {
-			continue
-		}
+	depth := make(map[int64]int, len(spans))
+	notes := make([]SpanNote, 0, min(len(spans), spanNoteCap))
+	for _, sp := range spans {
 		d := 0
 		if sp.Parent != 0 {
 			d = depth[sp.Parent] + 1

@@ -42,9 +42,6 @@ type Config struct {
 	// (default 4096); longer bodies are kept truncated and marked, and
 	// replay skips them.
 	BodyCap int
-	// TopK sizes the per-endpoint slowest-request exemplar heap
-	// (default 8).
-	TopK int
 	// Cooldown rate-limits dumps: after one fires, further non-forced
 	// triggers are counted and dropped until it elapses (default 30s).
 	Cooldown time.Duration
@@ -63,14 +60,14 @@ func (c Config) withDefaults() Config {
 	if c.BodyCap <= 0 {
 		c.BodyCap = 4096
 	}
-	if c.TopK <= 0 {
-		c.TopK = 8
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 30 * time.Second
 	}
 	return c
 }
+
+// topK sizes each endpoint's slowest-request exemplar heap.
+const topK = 8
 
 // reqIDCap fits the longest request ID the server emits: a 32-hex
 // traceparent trace-id or a minted "r%08d".
@@ -183,7 +180,7 @@ type Ring struct {
 func newRing(rec *Recorder, endpoint string) *Ring {
 	cfg := rec.cfg
 	r := &Ring{rec: rec, endpoint: endpoint,
-		slots: make([]slot, cfg.RingSize), ex: make([]slot, cfg.TopK)}
+		slots: make([]slot, cfg.RingSize), ex: make([]slot, topK)}
 	for i := range r.slots {
 		r.slots[i].reqID = make([]byte, 0, reqIDCap)
 		r.slots[i].body = make([]byte, 0, cfg.BodyCap)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // assert deltas, never absolute values.
 
 func testConfig() Config {
-	return Config{RingSize: 4, BodyCap: 32, TopK: 3, Cooldown: time.Hour}
+	return Config{RingSize: 4, BodyCap: 32, Cooldown: time.Hour}
 }
 
 func TestRingWraparound(t *testing.T) {
@@ -79,18 +80,18 @@ func TestSlotCopiesCallerMemory(t *testing.T) {
 }
 
 func TestExemplarHeapKeepsSlowest(t *testing.T) {
-	r := New(testConfig()) // TopK 3
+	r := New(testConfig())
 	ring := r.Endpoint("compile")
-	// Durations chosen so the slowest three arrive interleaved with
-	// fast requests that must be evicted (or never admitted).
-	for _, ms := range []int{5, 90, 1, 70, 2, 80, 3} {
+	// Durations chosen so the slowest eight (topK) arrive interleaved
+	// with fast requests that must be evicted (or never admitted).
+	for _, ms := range []int{5, 90, 1, 70, 2, 80, 3, 60, 4, 50, 6, 40, 7, 30, 8, 20} {
 		ring.Record(&Obs{Status: 200, RequestID: "q", Dur: time.Duration(ms) * time.Millisecond})
 	}
 	slow := ring.snapshot().Slowest
-	if len(slow) != 3 {
-		t.Fatalf("exemplars = %d, want 3", len(slow))
+	if len(slow) != topK {
+		t.Fatalf("exemplars = %d, want %d", len(slow), topK)
 	}
-	want := []int64{90000, 80000, 70000} // slowest-first, in µs
+	want := []int64{90000, 80000, 70000, 60000, 50000, 40000, 30000, 20000} // slowest-first, in µs
 	for i, rec := range slow {
 		if rec.DurUS != want[i] {
 			t.Errorf("slowest[%d].DurUS = %d, want %d", i, rec.DurUS, want[i])
@@ -343,8 +344,8 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestSpanTree(t *testing.T) {
-	if SpanTree(nil, nil) != nil {
-		t.Error("SpanTree(nil, nil) != nil")
+	if SpanTree(nil) != nil {
+		t.Error("SpanTree(nil) != nil")
 	}
 	tr := obs.NewTracer()
 	obs.Enable(tr)
@@ -359,7 +360,7 @@ func TestSpanTree(t *testing.T) {
 	other.End()
 	root.End()
 
-	notes := SpanTree(tr, root)
+	notes := SpanTree(root)
 	want := []struct {
 		name  string
 		depth int
@@ -371,6 +372,45 @@ func TestSpanTree(t *testing.T) {
 		if n.Name != want[i].name || n.Depth != want[i].depth {
 			t.Errorf("notes[%d] = %+v, want %s at depth %d", i, n, want[i].name, want[i].depth)
 		}
+	}
+}
+
+// TestSpanTreeCostIndependentOfEarlierTrees: a capture reads its own
+// request's tree, so what it allocates does not grow with the number
+// of trees the tracer already holds.
+func TestSpanTreeCostIndependentOfEarlierTrees(t *testing.T) {
+	obs.Enable(obs.NewTracer())
+	t.Cleanup(obs.Disable)
+	tree := func() *obs.Span { // a 15-span request tree
+		root := obs.RootRequest("server.compile", "r")
+		for i := 0; i < 14; i++ {
+			root.Child("loop").End()
+		}
+		root.End()
+		return root
+	}
+	perCapture := func() (allocs float64, bytes uint64) {
+		root := tree()
+		allocs = testing.AllocsPerRun(100, func() { SpanTree(root) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			SpanTree(root)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 100
+	}
+	for i := 0; i < 10; i++ {
+		tree()
+	}
+	fewAllocs, fewBytes := perCapture()
+	for i := 0; i < 1000; i++ {
+		tree()
+	}
+	manyAllocs, manyBytes := perCapture()
+	if manyAllocs > fewAllocs || manyBytes > 2*fewBytes {
+		t.Errorf("capture after 1,000 earlier trees: %.0f allocs, %d B; after 10: %.0f allocs, %d B",
+			manyAllocs, manyBytes, fewAllocs, fewBytes)
 	}
 }
 

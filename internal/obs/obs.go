@@ -12,27 +12,29 @@
 //	child := sp.Child("mii")         // nil stays nil
 //	child.Attr("ii", ii)             // no-op on nil
 //
-// Exports: a trace is written as JSON lines (one object per span /
-// decision) or in the Chrome trace_event format loadable in
+// A decision record is an event of the span it was made under (see
+// decision.go), so the tracer keeps one store: its span trees. Exports:
+// a trace is written as JSON lines (one object per span, each followed
+// by its decisions) or in the Chrome trace_event format loadable in
 // chrome://tracing (see WriteTrace). Metrics live in the process-wide
-// Registry (see metrics.go) and decision records in the process-wide
-// decision log (see decision.go).
+// Registry (see metrics.go).
 package obs
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Tracer collects spans and decision records for one tracing session.
-// A Tracer is safe for concurrent use; span creation appends to an
-// internal log under a mutex (tracing is for diagnosis, not for the
+// Tracer collects the span trees of one tracing session. It holds
+// their roots; each root holds its tree's spans, so reading one tree
+// never scans the others. A Tracer is safe for concurrent use; span
+// creation appends under a mutex (tracing is for diagnosis, not for the
 // disabled-path hot loop, which never reaches the mutex).
 type Tracer struct {
 	mu    sync.Mutex
-	spans []*Span
-	decs  []Decision
+	roots []*Span
 	ids   atomic.Int64
 	start time.Time
 }
@@ -66,6 +68,7 @@ func Active() *Tracer { return active.Load() }
 // nil receiver, so callers never need to test whether tracing is on.
 type Span struct {
 	tracer *Tracer
+	root   *Span // the tree's root (itself for roots)
 	ID     int64
 	Parent int64 // 0 for roots
 	RootID int64 // ID of the tree root (its own ID for roots)
@@ -80,6 +83,8 @@ type Span struct {
 
 	mu    sync.Mutex
 	attrs []Attr
+	decs  []Decision // the decisions made under the span
+	tree  []*Span    // on a root: its tree's spans, creation order
 }
 
 // Attr is one key/value annotation on a span.
@@ -95,7 +100,7 @@ func Root(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(name, 0, 0, RequestID())
+	return t.newSpan(name, nil, RequestID())
 }
 
 // RootRequest is Root stamped with a request ID: the root and every
@@ -109,7 +114,7 @@ func RootRequest(name, req string) *Span {
 	if req == "" {
 		req = RequestID()
 	}
-	return t.newSpan(name, 0, 0, req)
+	return t.newSpan(name, nil, req)
 }
 
 // Child starts a nested span under s. On a nil receiver it returns
@@ -118,26 +123,24 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.newSpan(name, s.ID, s.RootID, s.Req)
+	return s.tracer.newSpan(name, s, s.Req)
 }
 
-func (t *Tracer) newSpan(name string, parent, root int64, req string) *Span {
-	sp := &Span{
-		tracer: t,
-		ID:     t.ids.Add(1),
-		Parent: parent,
-		Req:    req,
-		Name:   name,
-		Start:  time.Now(),
+// newSpan files a new span under parent's root, or as a new root when
+// parent is nil.
+func (t *Tracer) newSpan(name string, parent *Span, req string) *Span {
+	sp := &Span{tracer: t, ID: t.ids.Add(1), Req: req, Name: name, Start: time.Now()}
+	if parent == nil {
+		sp.root, sp.RootID, sp.tree = sp, sp.ID, []*Span{sp}
+		t.mu.Lock()
+		t.roots = append(t.roots, sp)
+		t.mu.Unlock()
+		return sp
 	}
-	if root == 0 {
-		sp.RootID = sp.ID
-	} else {
-		sp.RootID = root
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
+	sp.Parent, sp.root, sp.RootID = parent.ID, parent.root, parent.RootID
+	sp.root.mu.Lock()
+	sp.root.tree = append(sp.root.tree, sp)
+	sp.root.mu.Unlock()
 	return sp
 }
 
@@ -185,13 +188,30 @@ func (s *Span) Attrs() []Attr {
 	return out
 }
 
+// Tree returns the spans of s's tree in creation order, its root
+// first (nil on a nil receiver). It reads that tree alone, whatever
+// else the tracer holds.
+func (s *Span) Tree() []*Span {
+	if s == nil {
+		return nil
+	}
+	r := s.root
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*Span(nil), r.tree...)
+}
+
 // Spans returns the tracer's collected spans in creation order.
 // Unended spans are reported with their duration so far.
 func (t *Tracer) Spans() []*Span {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Span, len(t.spans))
-	copy(out, t.spans)
+	roots := append([]*Span(nil), t.roots...)
+	t.mu.Unlock()
+	var out []*Span
+	for _, r := range roots {
+		out = append(out, r.Tree()...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

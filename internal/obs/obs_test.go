@@ -64,10 +64,12 @@ func TestChromeTraceExport(t *testing.T) {
 	root := Root("measure:kernel8")
 	root.Child("parse").End()
 	RecordDecision(root, Decision{
-		Code: DecMemRefFilter, Verdict: VerdictSkip, Loop: "3:2",
+		Code: DecMemRefFilter, Verdict: VerdictSkip,
 		Reason: "ratio too high", Attrs: map[string]any{"filter_ratio": 0.9},
 	})
 	root.End()
+	rootTS := float64(root.Start.Sub(tr.start)) / float64(time.Microsecond)
+	rootEnd := rootTS + float64(root.Dur)/float64(time.Microsecond)
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, FormatChrome); err != nil {
@@ -93,6 +95,11 @@ func TestChromeTraceExport(t *testing.T) {
 			if args["filter_ratio"] != 0.9 {
 				t.Errorf("decision args = %v, want filter_ratio=0.9", args)
 			}
+			// On its span's lane, at the span's end.
+			if ev["tid"] != float64(root.RootID) || ev["ts"] != rootEnd {
+				t.Errorf("decision at tid %v ts %v, want the span's lane %d at its end %v",
+					ev["tid"], ev["ts"], root.RootID, rootEnd)
+			}
 		}
 	}
 	if !sawThreadName {
@@ -109,26 +116,56 @@ func TestJSONLExport(t *testing.T) {
 	defer Disable()
 
 	Root("a").End()
-	RecordDecision(nil, Decision{Code: DecApplied, Verdict: VerdictAccept, Loop: "1:1"})
+	b := RootRequest("b", "req-7")
+	loop := b.Child("loop@1:1")
+	RecordDecision(loop, Decision{Code: DecApplied, Verdict: VerdictAccept})
+	loop.End()
+	b.End()
 
 	var buf bytes.Buffer
 	if err := tr.WriteTrace(&buf, FormatJSONL); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d JSONL lines, want 2: %q", len(lines), buf.String())
+	if len(lines) != 4 {
+		t.Fatalf("got %d JSONL lines, want 4: %q", len(lines), buf.String())
 	}
+	var recs []map[string]any
 	types := []string{}
 	for _, l := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(l), &m); err != nil {
 			t.Fatalf("line %q: %v", l, err)
 		}
+		recs = append(recs, m)
 		types = append(types, m["type"].(string))
 	}
-	if types[0] != "span" || types[1] != "decision" {
-		t.Errorf("line types = %v, want [span decision]", types)
+	if strings.Join(types, " ") != "span span span decision" {
+		t.Errorf("line types = %v, want [span span span decision]", types)
+	}
+	// The decision follows its span and names it, its root and the
+	// tree's request ID.
+	d := recs[3]
+	if d["span"] != float64(loop.ID) || d["root"] != float64(b.ID) || d["request_id"] != "req-7" ||
+		d["code"] != DecApplied || d["verdict"] != VerdictAccept {
+		t.Errorf("decision line = %v, want span %d, root %d, request_id req-7", d, loop.ID, b.ID)
+	}
+	if recs[2]["id"] != float64(loop.ID) {
+		t.Errorf("decision follows span %v, want its own span %d", recs[2]["id"], loop.ID)
+	}
+}
+
+// TestRecordDecisionDisabledZeroAlloc: with tracing off a decision only
+// bumps its verdict counter, through a handle resolved once.
+func TestRecordDecisionDisabledZeroAlloc(t *testing.T) {
+	Disable()
+	d := Decision{Code: DecApplied, Verdict: VerdictAccept, Attrs: map[string]any{"ii": 2}}
+	before := acceptCount().Value()
+	if n := testing.AllocsPerRun(1000, func() { RecordDecision(Root("x"), d) }); n != 0 {
+		t.Errorf("RecordDecision with tracing off = %v allocs, want 0", n)
+	}
+	if got := acceptCount().Value() - before; got != 1001 {
+		t.Errorf("slms.decisions.accept moved by %d, want 1001", got)
 	}
 }
 
@@ -258,9 +295,7 @@ func TestChromeTraceSchema(t *testing.T) {
 		sim := root.Child("sim")
 		sim.Child("block").End()
 		sim.End()
-		RecordDecision(root, Decision{
-			Code: DecApplied, Verdict: VerdictAccept, Loop: "1:1",
-		})
+		RecordDecision(sim, Decision{Code: DecApplied, Verdict: VerdictAccept})
 		root.End()
 	}
 

@@ -47,8 +47,11 @@ type slot struct {
 	lat       obs.Buckets
 }
 
-// Endpoint accumulates one endpoint's rolling window.
+// Endpoint accumulates one endpoint's rolling window. A caller resolves
+// it once (Tracker.Endpoint) and observes through it, so a request
+// takes no tracker-wide lock.
 type Endpoint struct {
+	t     *Tracker
 	name  string
 	slots [slotCount]slot
 	// breached latches "the window is over budget" so the breach hook
@@ -64,41 +67,29 @@ type Tracker struct {
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
 	order     []string
-	now       func() time.Time // injectable for tests
-
-	onBreach atomic.Value // func(endpoint string, s EndpointStatus)
+	now       func() time.Time // the clock; the package's tests replace it
+	onBreach  func(endpoint string, s EndpointStatus)
 }
 
-// SetOnBreach installs fn to run when an endpoint's rolling window
-// transitions into budget breach (error rate past ErrorBudget or
-// throttle rate past ThrottleBudget). The check runs only on 5xx/429
-// observations — a healthy request can't create a breach — so the
-// success path cost is unchanged. fn runs on the observing request's
-// goroutine with the breaching window's snapshot; it fires once per
-// transition and re-arms when the window recovers.
-func (t *Tracker) SetOnBreach(fn func(endpoint string, s EndpointStatus)) {
-	t.onBreach.Store(fn)
+// New returns an empty tracker. onBreach, when non-nil, runs when an
+// endpoint's rolling window transitions into budget breach (error rate
+// past ErrorBudget or throttle rate past ThrottleBudget). The check
+// runs only on 5xx/429 observations — a healthy request can't create a
+// breach — so the success path cost is unchanged. onBreach runs on the
+// observing request's goroutine with the breaching window's snapshot;
+// it fires once per transition and re-arms when the window recovers.
+func New(onBreach func(endpoint string, s EndpointStatus)) *Tracker {
+	return &Tracker{endpoints: map[string]*Endpoint{}, now: time.Now, onBreach: onBreach}
 }
 
-// New returns an empty tracker.
-func New() *Tracker {
-	return &Tracker{endpoints: map[string]*Endpoint{}, now: time.Now}
-}
-
-// SetClock replaces the tracker's time source (tests only).
-func (t *Tracker) SetClock(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
-}
-
-// Endpoint returns (registering if needed) the named endpoint.
+// Endpoint returns (registering if needed) the named endpoint. A
+// registered endpoint is listed in every Snapshot, from zero requests.
 func (t *Tracker) Endpoint(name string) *Endpoint {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.endpoints[name]
 	if !ok {
-		e = &Endpoint{name: name}
+		e = &Endpoint{t: t, name: name}
 		t.endpoints[name] = e
 		t.order = append(t.order, name)
 		sort.Strings(t.order)
@@ -106,23 +97,20 @@ func (t *Tracker) Endpoint(name string) *Endpoint {
 	return e
 }
 
-// Observe records one finished request on the named endpoint.
-func (t *Tracker) Observe(endpoint string, status int, d time.Duration) {
-	t.mu.Lock()
-	now := t.now()
-	t.mu.Unlock()
-	e := t.Endpoint(endpoint)
+// Observe records one finished request on the endpoint.
+func (e *Endpoint) Observe(status int, d time.Duration) {
+	now := e.t.now()
 	e.observe(now, status, d)
 	if status == 429 || status >= 500 {
-		t.checkBreach(e, now)
+		e.checkBreach(now)
 	}
 }
 
 // checkBreach evaluates the endpoint's window after a budget-burning
 // observation and fires the breach hook on a healthy→breached
 // transition.
-func (t *Tracker) checkBreach(e *Endpoint, now time.Time) {
-	fn, _ := t.onBreach.Load().(func(string, EndpointStatus))
+func (e *Endpoint) checkBreach(now time.Time) {
+	fn := e.t.onBreach
 	if fn == nil {
 		return
 	}

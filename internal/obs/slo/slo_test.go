@@ -18,14 +18,14 @@ func fixedClock() (*time.Time, func() time.Time) {
 func TestRatesAndBudgets(t *testing.T) {
 	now, clock := fixedClock()
 	_ = now
-	tr := New()
-	tr.SetClock(clock)
+	tr := New(nil)
+	tr.now = clock
 
 	for i := 0; i < 98; i++ {
-		tr.Observe("compile", 200, time.Millisecond)
+		tr.Endpoint("compile").Observe(200, time.Millisecond)
 	}
-	tr.Observe("compile", 500, 2*time.Millisecond)
-	tr.Observe("compile", 429, 2*time.Millisecond)
+	tr.Endpoint("compile").Observe(500, 2*time.Millisecond)
+	tr.Endpoint("compile").Observe(429, 2*time.Millisecond)
 
 	st := tr.Snapshot()
 	if !st.OK {
@@ -46,7 +46,7 @@ func TestRatesAndBudgets(t *testing.T) {
 	}
 
 	// One more error pushes the error rate over its 1% budget.
-	tr.Observe("compile", 503, time.Millisecond)
+	tr.Endpoint("compile").Observe(503, time.Millisecond)
 	st = tr.Snapshot()
 	if st.OK || st.Endpoints[0].ErrorBudgetOK {
 		t.Errorf("error budget should be blown at ~2%%: %+v", st.Endpoints[0])
@@ -55,10 +55,10 @@ func TestRatesAndBudgets(t *testing.T) {
 
 func TestClientErrorsBurnNoBudget(t *testing.T) {
 	_, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
+	tr := New(nil)
+	tr.now = clock
 	for i := 0; i < 10; i++ {
-		tr.Observe("compile", 400, time.Millisecond)
+		tr.Endpoint("compile").Observe(400, time.Millisecond)
 	}
 	es := tr.Snapshot().Endpoints[0]
 	if es.Errors != 0 || es.ErrorRate != 0 {
@@ -71,16 +71,16 @@ func TestClientErrorsBurnNoBudget(t *testing.T) {
 
 func TestQuantiles(t *testing.T) {
 	_, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
+	tr := New(nil)
+	tr.now = clock
 	// 90 fast requests, 10 slow: p50 stays in the fast bucket, p99
 	// lands in the slow one. 1ms → bucket bound 2^20ns ≈ 1.05ms;
 	// 100ms → 2^27ns ≈ 134ms.
 	for i := 0; i < 90; i++ {
-		tr.Observe("compile", 200, time.Millisecond)
+		tr.Endpoint("compile").Observe(200, time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		tr.Observe("compile", 200, 100*time.Millisecond)
+		tr.Endpoint("compile").Observe(200, 100*time.Millisecond)
 	}
 	es := tr.Snapshot().Endpoints[0]
 	fast := float64(uint64(1)<<20) / 1e9
@@ -102,8 +102,8 @@ func TestQuantiles(t *testing.T) {
 // the slow bucket; rounding the rank to nearest would report 1ms.
 func TestQuantilesRankLikeRegistry(t *testing.T) {
 	_, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
+	tr := New(nil)
+	tr.now = clock
 	reg := obs.NewRegistry()
 	h := reg.Histogram("latency")
 	durs := []time.Duration{100 * time.Millisecond}
@@ -111,7 +111,7 @@ func TestQuantilesRankLikeRegistry(t *testing.T) {
 		durs = append(durs, time.Millisecond)
 	}
 	for _, d := range durs {
-		tr.Observe("compile", 200, d)
+		tr.Endpoint("compile").Observe(200, d)
 		h.Observe(d)
 	}
 	es := tr.Snapshot().Endpoints[0]
@@ -131,9 +131,9 @@ func TestQuantilesRankLikeRegistry(t *testing.T) {
 // advance the clock past the whole window and the endpoint reads empty.
 func TestWindowAges(t *testing.T) {
 	now, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
-	tr.Observe("compile", 500, time.Millisecond)
+	tr := New(nil)
+	tr.now = clock
+	tr.Endpoint("compile").Observe(500, time.Millisecond)
 	if es := tr.Snapshot().Endpoints[0]; es.Requests != 1 {
 		t.Fatalf("requests = %d, want 1", es.Requests)
 	}
@@ -152,12 +152,12 @@ func TestWindowAges(t *testing.T) {
 // accumulating across laps.
 func TestSlotReuse(t *testing.T) {
 	now, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
-	tr.Observe("compile", 200, time.Millisecond)
+	tr := New(nil)
+	tr.now = clock
+	tr.Endpoint("compile").Observe(200, time.Millisecond)
 	// One full lap later the same slot index comes up again.
 	*now = now.Add(slotDur * slotCount)
-	tr.Observe("compile", 200, time.Millisecond)
+	tr.Endpoint("compile").Observe(200, time.Millisecond)
 	es := tr.Snapshot().Endpoints[0]
 	if es.Requests != 1 {
 		t.Errorf("requests = %d, want 1 (old lap must not leak into the new)", es.Requests)
@@ -166,11 +166,11 @@ func TestSlotReuse(t *testing.T) {
 
 func TestEndpointsSorted(t *testing.T) {
 	_, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
-	tr.Observe("schedule", 200, time.Millisecond)
-	tr.Observe("compile", 200, time.Millisecond)
-	tr.Observe("profile", 200, time.Millisecond)
+	tr := New(nil)
+	tr.now = clock
+	tr.Endpoint("schedule").Observe(200, time.Millisecond)
+	tr.Endpoint("compile").Observe(200, time.Millisecond)
+	tr.Endpoint("profile").Observe(200, time.Millisecond)
 	st := tr.Snapshot()
 	want := []string{"compile", "profile", "schedule"}
 	for i, ep := range st.Endpoints {
@@ -185,21 +185,20 @@ func TestEndpointsSorted(t *testing.T) {
 // re-arms after the window recovers.
 func TestOnBreachFiresOncePerTransition(t *testing.T) {
 	now, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
 	var fired []string
-	tr.SetOnBreach(func(endpoint string, es EndpointStatus) {
+	tr := New(func(endpoint string, es EndpointStatus) {
 		if es.ErrorBudgetOK && es.ThrottleOK {
 			t.Errorf("hook fired with budgets OK: %+v", es)
 		}
 		fired = append(fired, endpoint)
 	})
+	tr.now = clock
 
 	// A lone 500 is a 100% error rate: breach. More 5xx inside the same
 	// breach must not re-fire.
-	tr.Observe("compile", 500, time.Millisecond)
-	tr.Observe("compile", 500, time.Millisecond)
-	tr.Observe("compile", 500, time.Millisecond)
+	tr.Endpoint("compile").Observe(500, time.Millisecond)
+	tr.Endpoint("compile").Observe(500, time.Millisecond)
+	tr.Endpoint("compile").Observe(500, time.Millisecond)
 	if len(fired) != 1 || fired[0] != "compile" {
 		t.Fatalf("fired = %v, want exactly one breach for compile", fired)
 	}
@@ -209,21 +208,21 @@ func TestOnBreachFiresOncePerTransition(t *testing.T) {
 	// in 300), which resets the latch without firing.
 	*now = now.Add(slotDur * (slotCount + 1))
 	for i := 0; i < 299; i++ {
-		tr.Observe("compile", 200, time.Millisecond)
+		tr.Endpoint("compile").Observe(200, time.Millisecond)
 	}
-	tr.Observe("compile", 500, time.Millisecond) // 1/300 ≈ 0.3%: healthy, re-arms
+	tr.Endpoint("compile").Observe(500, time.Millisecond) // 1/300 ≈ 0.3%: healthy, re-arms
 	if len(fired) != 1 {
 		t.Fatalf("hook fired inside the budget: %v", fired)
 	}
 	for i := 0; i < 5; i++ {
-		tr.Observe("compile", 500, time.Millisecond) // pushes past 1%
+		tr.Endpoint("compile").Observe(500, time.Millisecond) // pushes past 1%
 	}
 	if len(fired) != 2 {
 		t.Errorf("fired = %v, want a second breach after recovery", fired)
 	}
 
 	// Healthy endpoints never evaluate the hook.
-	tr.Observe("schedule", 200, time.Millisecond)
+	tr.Endpoint("schedule").Observe(200, time.Millisecond)
 	if len(fired) != 2 {
 		t.Errorf("success observation fired the hook: %v", fired)
 	}
@@ -233,8 +232,8 @@ func TestOnBreachFiresOncePerTransition(t *testing.T) {
 // race detector and checks nothing is lost within one slot.
 func TestConcurrentObserve(t *testing.T) {
 	_, clock := fixedClock()
-	tr := New()
-	tr.SetClock(clock)
+	tr := New(nil)
+	tr.now = clock
 	const workers, per = 8, 250
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -242,7 +241,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tr.Observe("compile", 200, time.Millisecond)
+				tr.Endpoint("compile").Observe(200, time.Millisecond)
 			}
 		}()
 	}

@@ -16,13 +16,14 @@ const (
 	// run shows one lane per kernel measurement.
 	FormatChrome = "chrome"
 	// FormatJSONL is one JSON object per line: spans ({"type":"span"})
-	// in creation order followed by decision records
-	// ({"type":"decision"}). Suited to jq and log shippers.
+	// in creation order, each followed by the decision records made
+	// under it ({"type":"decision"}, naming the span, its root and its
+	// request ID). Suited to jq and log shippers.
 	FormatJSONL = "jsonl"
 )
 
-// WriteTrace serializes the tracer's spans and decision records to w in
-// the given format (FormatChrome or FormatJSONL).
+// WriteTrace serializes the tracer's span trees, decision records
+// included, to w in the given format (FormatChrome or FormatJSONL).
 func (t *Tracer) WriteTrace(w io.Writer, format string) error {
 	switch format {
 	case FormatChrome, "":
@@ -45,6 +46,16 @@ type spanJSON struct {
 	Start    string         `json:"start"`
 	Duration float64        `json:"us"` // microseconds
 	Attrs    map[string]any `json:"attrs,omitempty"`
+}
+
+// decisionJSON is the JSONL wire form of a decision record: the record
+// and the span it is an event of.
+type decisionJSON struct {
+	Type string `json:"type"`
+	Span int64  `json:"span"`
+	Root int64  `json:"root"`
+	Req  string `json:"request_id,omitempty"`
+	Decision
 }
 
 func attrMap(attrs []Attr) map[string]any {
@@ -79,17 +90,18 @@ func (t *Tracer) writeJSONL(w io.Writer) error {
 		if err := enc.Encode(rec); err != nil {
 			return err
 		}
-	}
-	for _, d := range t.Decisions() {
-		if err := enc.Encode(d.jsonRecord()); err != nil {
-			return err
+		for _, d := range s.Decisions() {
+			if err := enc.Encode(decisionJSON{"decision", s.ID, s.RootID, s.Req, d}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // chromeEvent is one trace_event entry. Complete spans use ph="X",
-// instant decision records ph="i", track names ph="M".
+// instant decision records ph="i" (on their span's lane, at its end),
+// track names ph="M".
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -107,10 +119,8 @@ func (t *Tracer) writeChrome(w io.Writer) error {
 
 	// Name each track after its root span so chrome://tracing shows one
 	// labelled lane per span tree (per kernel in a bench run).
-	named := map[int64]bool{}
 	for _, s := range spans {
-		if s.Parent == 0 && !named[s.RootID] {
-			named[s.RootID] = true
+		if s.Parent == 0 {
 			events = append(events, chromeEvent{
 				Name: "thread_name", Phase: "M", PID: 1, TID: s.RootID,
 				Args: map[string]any{"name": s.Name},
@@ -118,27 +128,24 @@ func (t *Tracer) writeChrome(w io.Writer) error {
 		}
 	}
 	for _, s := range spans {
+		ts := float64(s.Start.Sub(t.start)) / float64(time.Microsecond)
+		dur := float64(s.duration()) / float64(time.Microsecond)
 		events = append(events, chromeEvent{
-			Name: s.Name, Phase: "X",
-			TS:  float64(s.Start.Sub(t.start)) / float64(time.Microsecond),
-			Dur: float64(s.duration()) / float64(time.Microsecond),
+			Name: s.Name, Phase: "X", TS: ts, Dur: dur,
 			PID: 1, TID: s.RootID,
 			Args: attrMap(s.Attrs()),
 		})
-	}
-	for _, d := range t.Decisions() {
-		args := map[string]any{
-			"code": d.Code, "verdict": d.Verdict, "loop": d.Loop, "reason": d.Reason,
+		for _, d := range s.Decisions() {
+			args := map[string]any{"code": d.Code, "verdict": d.Verdict, "reason": d.Reason}
+			for k, v := range d.Attrs {
+				args[k] = v
+			}
+			events = append(events, chromeEvent{
+				Name: d.Code, Phase: "i", TS: ts + dur,
+				PID: 1, TID: s.RootID, Scope: "t",
+				Args: args,
+			})
 		}
-		for k, v := range d.Attrs {
-			args[k] = v
-		}
-		events = append(events, chromeEvent{
-			Name: d.Code, Phase: "i",
-			TS:  float64(d.Time.Sub(t.start)) / float64(time.Microsecond),
-			PID: 1, TID: d.SpanRoot, Scope: "t",
-			Args: args,
-		})
 	}
 	// Stable output: chrome sorts by ts anyway; we sort so identical
 	// traces serialize identically.

@@ -94,13 +94,13 @@ func SpanFrom(ctx context.Context) *Span {
 }
 
 // procReqID is the process-level request ID: CLIs set it from
-// -request-id so every span and decision record of a one-shot run
-// carries the caller's correlation ID without context plumbing through
-// flag parsing.
+// -request-id so every span tree of a one-shot run, and with it every
+// decision record, carries the caller's correlation ID without context
+// plumbing through flag parsing.
 var procReqID atomic.Value // string
 
-// SetRequestID sets the process-level request ID stamped on spans and
-// decision records that have no request-scoped ID of their own.
+// SetRequestID sets the process-level request ID stamped on span trees
+// that have no request-scoped ID of their own.
 // Accepts either a bare ID or a full W3C traceparent value (the
 // trace-id is extracted).
 func SetRequestID(id string) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -127,16 +128,15 @@ func TestRequestIDContext(t *testing.T) {
 	}
 	child.End()
 
-	RecordDecision(child, Decision{Code: DecApplied, Verdict: VerdictAccept, Loop: "1:1"})
-	decs := tr.Decisions()
-	if len(decs) != 1 || decs[0].RequestID != "req-42" {
-		t.Errorf("decision records = %+v, want one stamped req-42", decs)
+	RecordDecision(child, Decision{Code: DecApplied, Verdict: VerdictAccept})
+	if decs := child.Decisions(); len(decs) != 1 || child.RequestID() != "req-42" {
+		t.Errorf("decision records = %+v under a span stamped %q, want one under req-42", decs, child.RequestID())
 	}
 }
 
 // TestProcessRequestID covers the CLI fallback: SetRequestID stamps
-// spans and decisions that have no request-scoped ID, and accepts a
-// full traceparent.
+// span trees that have no request-scoped ID, and with them the
+// decisions made under them, and accepts a full traceparent.
 func TestProcessRequestID(t *testing.T) {
 	SetRequestID(validTraceparent)
 	defer SetRequestID("")
@@ -151,12 +151,15 @@ func TestProcessRequestID(t *testing.T) {
 	if got := sp.RequestID(); got != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Errorf("span request ID = %q, want the process ID", got)
 	}
-	RecordDecision(nil, Decision{Code: DecApplied, Verdict: VerdictAccept, Loop: "1:1"})
-	decs := tr.Decisions()
-	if len(decs) != 1 || decs[0].RequestID != "4bf92f3577b34da6a3ce929d0e0e4736" {
-		t.Errorf("decision = %+v, want the process request ID", decs)
-	}
+	RecordDecision(sp, Decision{Code: DecApplied, Verdict: VerdictAccept})
 	sp.End()
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf, FormatJSONL); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `{"type":"decision","span":1,"root":1,"request_id":"4bf92f3577b34da6a3ce929d0e0e4736","code":"SLMS200","verdict":"accept"}`) {
+		t.Errorf("decision line not stamped with the process request ID:\n%s", buf.String())
+	}
 }
 
 // TestSpanNilRequestHelpers pins the nil-safety contract for the new

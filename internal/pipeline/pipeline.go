@@ -141,10 +141,12 @@ func CompileFor(p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, err
 // CompileForCtx is CompileFor honoring a context: the back-end
 // scheduling loop (register allocation, block scheduling, IMS — the
 // expensive II searches live here) checks ctx between blocks and aborts
-// early when the deadline passes. The cached path (CompileForCached)
-// deliberately does NOT take a context: cached artifacts are shared
-// across requests, and one canceled request must never poison the entry
-// every later request reuses.
+// early when the deadline passes. Only tests call it: every measurement
+// and every slmsd request compiles through the shared compile stage
+// (CompileForCached), which deliberately does NOT take a context —
+// cached artifacts are shared across requests, and one canceled request
+// must never poison the entry every later request reuses. Bounding that
+// stage by a deadline is ROADMAP item 1.
 func CompileForCtx(ctx context.Context, p *source.Program, d *machine.Desc, cc Compiler) (*Artifact, error) {
 	lw, err := lower(p)
 	if err != nil {
@@ -302,10 +304,11 @@ func Run(p *source.Program, d *machine.Desc, cc Compiler, env *interp.Env) (*sim
 	return RunCtx(context.Background(), p, d, cc, env, Modes{})
 }
 
-// RunCtx is Run honoring a context and modes: compilation checks the
-// deadline between scheduling rounds (uncached path) and the simulator
-// polls it every few thousand instructions, so a request deadline stops
-// the pipeline mid-simulation instead of after it. With modes.Profile
+// RunCtx is Run honoring a context and modes: the simulator polls the
+// deadline every few thousand instructions, so a request deadline stops
+// the pipeline mid-simulation instead of after it. Compilation goes
+// through the shared compile stage, which runs to completion and checks
+// ctx only after it returns (see CompileForCtx). With modes.Profile
 // the metrics carry the run's profile. Under a span carried by ctx
 // (obs.ContextWithSpan), the run records "compile" (with the cache
 // outcome) and "sim" (with the simulated cycle count) child spans, each
@@ -385,18 +388,23 @@ func RunExperiments(prog *source.Program, d *machine.Desc, cc Compiler,
 
 // RunExperimentsCtx is RunExperiments honoring a context and modes:
 // every simulation leg polls the deadline as it runs, and the driver
-// checks it between phases, so one request deadline bounds the whole
-// measurement. Cached phases (transform, cached compiles) complete
-// regardless — their results are shared across requests — but the loop
-// stops before starting the next leg once the context is done. With
-// modes.Profile both legs carry profiles; with modes.Verify every
-// option set's transform is proved before it is compiled. Under a span
-// carried by ctx, the base leg and each option set's
-// transform/verify/compile/sim/compare phases become child spans, each
-// feeding its phase histogram.
+// checks it between phases. The transform and the compiles run through
+// the shared pipeline cache and complete regardless of ctx — their
+// results are shared across requests, and ctx is checked only after
+// each returns (see CompileForCtx) — but the loop stops before starting
+// the next leg once the context is done. With modes.Profile both legs
+// carry profiles; with modes.Verify every option set's transform is
+// proved before it is compiled. The base leg and each option set's
+// transform/verify/compile/sim/compare phases become child spans of the
+// span ctx carries, or, with tracing on and no span in ctx, of an
+// "experiment" root of their own; each feeds its phase histogram.
 func RunExperimentsCtx(ctx context.Context, prog *source.Program, d *machine.Desc, cc Compiler,
 	optsList []core.Options, seed func(*interp.Env), modes Modes) ([]*Outcome, []error, error) {
 	sp := obs.SpanFrom(ctx)
+	if sp == nil {
+		sp = obs.Root("experiment")
+		defer sp.End()
+	}
 	envBase := interp.NewEnv()
 	if seed != nil {
 		seed(envBase)

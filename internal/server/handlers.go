@@ -6,6 +6,7 @@ import (
 
 	"slms/internal/analysis"
 	"slms/internal/core"
+	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/prof"
 	"slms/internal/sim"
@@ -16,16 +17,6 @@ import (
 // here must be deterministic for a given request: no timestamps, no
 // request IDs, no map iteration leaking into ordering (maps marshal
 // with sorted keys under encoding/json).
-
-// DecisionReport is the wire form of an SLMS2xx decision record. It
-// deliberately drops the record's timestamp and span linkage so that
-// identical requests produce byte-identical responses.
-type DecisionReport struct {
-	Code    string         `json:"code"`
-	Verdict string         `json:"verdict"`
-	Reason  string         `json:"reason,omitempty"`
-	Attrs   map[string]any `json:"attrs,omitempty"`
-}
 
 // LoopReport describes what SLMS did to one innermost loop.
 type LoopReport struct {
@@ -38,23 +29,18 @@ type LoopReport struct {
 	Stages  int    `json:"stages,omitempty"`
 	Unroll  int    `json:"unroll,omitempty"`
 	// Mode is the variable-expansion mode ("MVE" or "scalar-expansion").
-	Mode     string         `json:"mode,omitempty"`
-	Decision DecisionReport `json:"decision"`
+	Mode     string       `json:"mode,omitempty"`
+	Decision obs.Decision `json:"decision"`
 }
 
 func loopReports(results []*core.Result) []LoopReport {
 	loops := make([]LoopReport, 0, len(results))
 	for _, r := range results {
 		lr := LoopReport{
-			Loop:    fmt.Sprintf("%d:%d", r.Pos.Line, r.Pos.Col),
-			Applied: r.Applied,
-			Reason:  r.Reason,
-			Decision: DecisionReport{
-				Code:    r.Decision.Code,
-				Verdict: r.Decision.Verdict,
-				Reason:  r.Decision.Reason,
-				Attrs:   r.Decision.Attrs,
-			},
+			Loop:     fmt.Sprintf("%d:%d", r.Pos.Line, r.Pos.Col),
+			Applied:  r.Applied,
+			Reason:   r.Reason,
+			Decision: r.Decision,
 		}
 		if r.Applied {
 			lr.II, lr.MIs, lr.Stages, lr.Unroll = r.II, r.MIs, r.Stages, r.Unroll

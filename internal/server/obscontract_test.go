@@ -149,15 +149,18 @@ for (i = 0; i < 64; i++) {
 	}
 
 	// Decision records: the compile considered at least one loop, and
-	// every record it emitted carries the trace-id.
+	// every record it emitted is an event of a span in the request's
+	// tree, which carries the trace-id.
 	stamped := 0
-	for _, d := range tr.Decisions() {
-		if d.RequestID == corrTraceID {
-			stamped++
+	for _, sp := range tr.Spans() {
+		for range sp.Decisions() {
+			if sp.RootID == root.RootID && sp.Req == corrTraceID {
+				stamped++
+			}
 		}
 	}
 	if stamped == 0 {
-		t.Errorf("no decision records stamped %q; decisions = %+v", corrTraceID, tr.Decisions())
+		t.Errorf("no decision records in the span tree stamped %q; decisions = %+v", corrTraceID, tr.Decisions())
 	}
 
 	// Byte-identical repeat: zero-alloc fast path, correlated under the
@@ -186,8 +189,8 @@ for (i = 0; i < 64; i++) {
 
 // TestExplainRequestCorrelation: a fresh explain transforms its program
 // once, under the request span, so every SLMS2xx decision record it
-// files carries the request's ID — one record per loop, none filed
-// outside the request.
+// files is an event of the request's span tree, under the request's ID
+// — one record per loop, none filed outside the request.
 func TestExplainRequestCorrelation(t *testing.T) {
 	resetMemo(t)
 	tr := obs.NewTracer()
@@ -203,9 +206,12 @@ func TestExplainRequestCorrelation(t *testing.T) {
 	if len(decs) != 1 {
 		t.Errorf("a fresh explain of one loop filed %d decision records, want 1: %+v", len(decs), decs)
 	}
-	for _, d := range decs {
-		if !strings.HasPrefix(d.Code, "SLMS2") || d.RequestID != corrTraceID {
-			t.Errorf("decision %s stamped %q, want an SLMS2xx record stamped %q", d.Code, d.RequestID, corrTraceID)
+	for _, sp := range tr.Spans() {
+		for _, d := range sp.Decisions() {
+			if root := sp.Tree()[0]; !strings.HasPrefix(d.Code, "SLMS2") || sp.Req != corrTraceID || root.Name != "server.explain" {
+				t.Errorf("decision %s in tree %q stamped %q, want an SLMS2xx record in server.explain's tree stamped %q",
+					d.Code, root.Name, sp.Req, corrTraceID)
+			}
 		}
 	}
 }
@@ -311,6 +317,18 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if ep.P50Seconds <= 0 {
 		t.Errorf("compile p50 = %g, want > 0", ep.P50Seconds)
+	}
+	// Every registered endpoint is listed from the start: one never
+	// called reads zero requests.
+	var names []string
+	for _, ep := range st.SLO.Endpoints {
+		names = append(names, ep.Endpoint)
+		if ep.Endpoint != "compile" && ep.Requests != 0 {
+			t.Errorf("uncalled endpoint %s reads %d requests", ep.Endpoint, ep.Requests)
+		}
+	}
+	if got := strings.Join(names, " "); got != "compile explain profile schedule" {
+		t.Errorf("SLO endpoints = %s, want every registered endpoint", got)
 	}
 
 	if err := s.Drain(context.Background()); err != nil {

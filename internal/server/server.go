@@ -20,9 +20,9 @@
 // traceparent contributes its trace-id, anything else gets a minted
 // "r%08d". The ID rides the request context through admission, the
 // singleflight cache, the per-loop transform and the simulator, so one
-// request yields one span tree, one access-log line and SLMS2xx/3xx
-// decision records all stamped with the same ID, and comes back to the
-// client as X-Request-ID.
+// request yields one span tree stamped with the ID — its SLMS2xx
+// decision records are events of that tree's loop spans — and one
+// access-log line, and the ID comes back to the client as X-Request-ID.
 package server
 
 import (
@@ -62,8 +62,6 @@ type Config struct {
 	CacheEntries int
 	// MaxBodyBytes bounds a request body (default 1 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// AccessLog receives one structured line per finished request
 	// (default nil = no access log). Lines are written atomically —
 	// one Write each — so any destination shared with other loggers
@@ -94,11 +92,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
+
+// retryAfter is the Retry-After hint, in seconds, of a 429 reply.
+const retryAfter = "1"
 
 // Server is one SLMS compilation service instance.
 type Server struct {
@@ -139,21 +137,20 @@ func New(cfg Config) *Server {
 		cache:       newRespCache(cfg.CacheEntries),
 		mux:         http.NewServeMux(),
 		access:      newAccessLog(cfg.AccessLog),
-		slo:         slo.New(),
 		routes:      map[string]http.HandlerFunc{},
 		reqCtr:      obs.CounterName("server.requests"),
 		panicCtr:    obs.CounterName("server.panics"),
 		inflightGge: obs.GaugeName("server.inflight"),
 	}
 	s.flight = flight.New(cfg.Flight)
-	s.flight.AddState("server", func() any { return s.Stats() })
-	s.flight.AddState("slo", func() any { return s.slo.Snapshot() })
 	// An endpoint window crossing its error or throttle budget is an
 	// anomaly worth a dump; the recorder's cooldown keeps a sustained
 	// breach from flooding the dump dir.
-	s.slo.SetOnBreach(func(endpoint string, _ slo.EndpointStatus) {
+	s.slo = slo.New(func(endpoint string, _ slo.EndpointStatus) {
 		s.flight.Trigger(flight.TrigSLOBreach, endpoint)
 	})
+	s.flight.AddState("server", func() any { return s.Stats() })
+	s.flight.AddState("slo", func() any { return s.slo.Snapshot() })
 	s.handle("compile", "/v1/compile", s.handleCompile)
 	s.handle("schedule", "/v1/schedule", s.handleSchedule)
 	s.handle("explain", "/v1/explain", s.handleExplain)
@@ -189,7 +186,7 @@ type route struct {
 	latency   *obs.Histogram
 	errors    *obs.Counter
 	status200 *obs.Counter
-	slo       *slo.Tracker
+	slo       *slo.Endpoint
 	access    *accessLog
 }
 
@@ -211,7 +208,7 @@ func (rt *route) finish(o *flight.Obs) {
 	if o.Status >= 400 {
 		rt.errors.Add(1)
 	}
-	rt.slo.Observe(rt.name, o.Status, o.Dur)
+	rt.slo.Observe(o.Status, o.Dur)
 	rt.access.line(rt.name, o)
 }
 
@@ -235,7 +232,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		latency:   obs.HistName("server." + name + ".latency"),
 		errors:    obs.CounterName("server." + name + ".errors"),
 		status200: obs.CounterName("server." + name + ".status.200"),
-		slo:       s.slo,
+		slo:       s.slo.Endpoint(name),
 		access:    s.access,
 	}
 
@@ -278,7 +275,7 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 			}
 			// With tracing off there is no span tree; a one-note summary
 			// keeps the record's shape uniform.
-			if o.Spans = flight.SpanTree(obs.Active(), sp); o.Spans == nil {
+			if o.Spans = flight.SpanTree(sp); o.Spans == nil {
 				o.Spans = []flight.SpanNote{{Name: "server." + name, DurUS: o.Dur.Microseconds()}}
 			}
 			if st != nil {
@@ -346,9 +343,9 @@ func (s *Server) handle(name, pattern string, h handlerFunc) {
 		deadline, _ = ctx.Deadline()
 
 		// Thread the ID down: the root span stamps it on every child
-		// (per-loop transform spans, simulator legs) and on the
-		// decision records they emit; the context carries the span to
-		// code that only sees ctx.
+		// (per-loop transform spans, which hold the decision records,
+		// and simulator legs); the context carries the span to code
+		// that only sees ctx.
 		sp = obs.RootRequest("server."+name, reqID).Attr("request", reqID)
 		defer sp.End()
 		ctx = obs.ContextWithSpan(ctx, sp)
@@ -476,7 +473,7 @@ func (s *Server) writeError(w http.ResponseWriter, reqID string, ae *apiError) i
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if ae.status == 429 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	w.WriteHeader(ae.status)
 	blob, _ := json.MarshalIndent(map[string]errBody{"error": {
