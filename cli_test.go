@@ -327,7 +327,11 @@ func TestCLIProfileFlags(t *testing.T) {
 // TestCLIDecisionsSitInSpanTrees: a traced CLI run files every decision
 // record as an event of a span in its trace, and that span carries the
 // run's -request-id — also on the paths that open no span of their own
-// (slmslint, the SLC driver, the bench census).
+// (slmslint, the SLC driver, the bench census). slmsc -slc and slmsbench
+// file every decision on a lane (root span) that names the command or
+// the kernel: the SLC driver's transforms run under slmsc's root, and
+// every bench measurement, experiment and precision-census transform
+// under "<kind>:<kernel>".
 func TestCLIDecisionsSitInSpanTrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -335,15 +339,21 @@ func TestCLIDecisionsSitInSpanTrees(t *testing.T) {
 	const reqID = "req-decisions"
 	src := filepath.Join("internal", "core", "testdata", "multiloop.c")
 	dir := t.TempDir()
+	kernelLane := func(name string) bool {
+		kind, kernel, ok := strings.Cut(name, ":")
+		return ok && kind != "" && kernel != ""
+	}
 	for _, c := range []struct {
 		tool string
 		args []string
+		lane func(root string) bool // nil: any lane
 	}{
-		{"slmslint", []string{src}},
-		{"slmsc", []string{"-slc", src}},
-		{"slmsbench", []string{"-census"}},
+		{"slmslint", []string{src}, nil},
+		{"slmsc", []string{"-slc", src}, func(root string) bool { return root == "slmsc" }},
+		{"slmsbench", []string{"-census"}, kernelLane},
+		{"slmsbench", []string{"-figure", "caseB"}, kernelLane},
 	} {
-		trace := filepath.Join(dir, c.tool+".jsonl")
+		trace := filepath.Join(dir, fmt.Sprintf("%s-%d.jsonl", c.tool, len(c.args)))
 		args := append([]string{"-q", "-trace", trace, "-trace-format", "jsonl", "-request-id", reqID}, c.args...)
 		runTool(t, buildTool(t, c.tool), "", args...)
 		blob, err := os.ReadFile(trace)
@@ -357,6 +367,7 @@ func TestCLIDecisionsSitInSpanTrees(t *testing.T) {
 			Root int64  `json:"root"`
 			Req  string `json:"request_id"`
 			Code string `json:"code"`
+			Name string `json:"name"`
 		}
 		spans := map[int64]record{}
 		var decisions []record
@@ -380,6 +391,10 @@ func TestCLIDecisionsSitInSpanTrees(t *testing.T) {
 			if !ok || sp.Root != d.Root || sp.Req != reqID || d.Req != reqID {
 				t.Errorf("%s: decision %s names span %d (root %d, request %q), found %v with %+v",
 					c.tool, d.Code, d.Span, d.Root, d.Req, ok, sp)
+			}
+			if root := spans[d.Root].Name; c.lane != nil && !c.lane(root) {
+				t.Errorf("%s %v: decision %s filed on lane %q, which names no kernel or command",
+					c.tool, c.args, d.Code, root)
 			}
 		}
 	}

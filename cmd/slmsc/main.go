@@ -89,7 +89,7 @@ func main() {
 		}
 		slcOpts := slc.DefaultOptions()
 		slcOpts.SLMS = r.CoreOptions()
-		res, err := slc.Optimize(prog, slcOpts)
+		res, err := slc.OptimizeSpan(sp, prog, slcOpts)
 		if err != nil {
 			obs.Fatalf("%v", err)
 		}

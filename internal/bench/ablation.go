@@ -32,11 +32,11 @@ func AblationFilter() (*Figure, error) {
 		prog := source.MustParse(k.Source)
 		off := core.DefaultOptions()
 		off.Filter = false
-		outOff, err := runExperiment(prog, d, pipeline.WeakO3, off, k.Setup)
+		outOff, err := runExperiment(k.Name, prog, d, pipeline.WeakO3, off, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		outOn, err := runExperiment(prog, d, pipeline.WeakO3, core.DefaultOptions(), k.Setup)
+		outOn, err := runExperiment(k.Name, prog, d, pipeline.WeakO3, core.DefaultOptions(), k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -79,11 +79,11 @@ func AblationExpansion() (*Figure, error) {
 		mve := core.DefaultOptions()
 		arr := core.DefaultOptions()
 		arr.Expansion = core.ExpandScalar
-		outM, err := runExperiment(prog, d, pipeline.WeakO3, mve, k.Setup)
+		outM, err := runExperiment(k.Name, prog, d, pipeline.WeakO3, mve, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
-		outA, err := runExperiment(prog, d, pipeline.WeakO3, arr, k.Setup)
+		outA, err := runExperiment(k.Name, prog, d, pipeline.WeakO3, arr, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -147,7 +147,7 @@ func AblationGuard() (*Figure, error) {
 		guarded := core.DefaultOptions()
 		bare := core.DefaultOptions()
 		bare.NoGuard = true
-		outG, err := runExperiment(prog, d, pipeline.WeakO3, guarded, k.Setup)
+		outG, err := runExperiment(k.Name, prog, d, pipeline.WeakO3, guarded, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -155,7 +155,7 @@ func AblationGuard() (*Figure, error) {
 			f.Rows = append(f.Rows, Row{Kernel: k.Name, Value: 1, Note: reasonOf(outG)})
 			continue
 		}
-		outB, err := runExperiment(prog, d, pipeline.WeakO3, bare, k.Setup)
+		outB, err := runExperiment(k.Name, prog, d, pipeline.WeakO3, bare, k.Setup)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.Name, err)
 		}
@@ -184,7 +184,7 @@ func AblationWindow() (*Figure, error) {
 		prod, n := 1.0, 0
 		for _, k := range ks {
 			prog := source.MustParse(k.Source)
-			out, err := runExperiment(prog, d, cc, core.DefaultOptions(), k.Setup)
+			out, err := runExperiment(k.Name, prog, d, cc, core.DefaultOptions(), k.Setup)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}

@@ -458,7 +458,7 @@ func CaseA() (*Figure, error) {
 
 func measureKernel8CaseA(k Kernel, d *machine.Desc) (*pipeline.Outcome, error) {
 	prog := source.MustParseCached(k.Source)
-	return runExperiment(prog, d, pipeline.WeakO3, core.DefaultOptions(), k.Setup)
+	return runExperiment(k.Name, prog, d, pipeline.WeakO3, core.DefaultOptions(), k.Setup)
 }
 
 // CaseB reproduces the §9.2 floating-point-intensive loop: SLMS helps
@@ -476,7 +476,7 @@ func CaseB() (*Figure, error) {
 	seed := seedArrays(map[string][]int{"X": {210}}, 99)
 	// Keep values in (0,1) so fifth powers stay finite.
 	prog := source.MustParse(src)
-	out, err := runExperiment(prog, machine.IA64Like(), pipeline.StrongO3, core.DefaultOptions(), func(env *interp.Env) {
+	out, err := runExperiment("caseB", prog, machine.IA64Like(), pipeline.StrongO3, core.DefaultOptions(), func(env *interp.Env) {
 		seed(env)
 		arr := env.Arrays["X"]
 		for i := range arr.F {

@@ -35,23 +35,23 @@ func TestFlightRecorderOverheadUnderOnePercent(t *testing.T) {
 		Status: 200, RequestID: "r00000042", Fingerprint: "6ea98a2c6f0d4e6d",
 		Cache: "hit", DeadlineMS: -1, Dur: 517 * time.Microsecond, Body: body,
 	}
-	fastOp := testing.Benchmark(func(b *testing.B) {
+	fastOp := nsPerOp(testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ring.Record(&hitObs)
 		}
-	})
+	}))
 	slowObs := flight.Obs{
 		Status: 200, RequestID: "r00000042", Fingerprint: "6ea98a2c6f0d4e6d",
 		Cache: "miss", DeadlineMS: 9999, Dur: 517 * time.Microsecond, Body: body,
 		Spans:     []flight.SpanNote{{Name: "server.compile", DurUS: 517}},
 		Decisions: []flight.DecisionNote{{Loop: "1:40", Code: "SLMS220", Verdict: "apply"}},
 	}
-	slowOp := testing.Benchmark(func(b *testing.B) {
+	slowOp := nsPerOp(testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ring.Record(&slowObs)
 		}
-	})
-	perRecord := max(fastOp.NsPerOp(), slowOp.NsPerOp())
+	}))
+	perRecord := max(fastOp, slowOp)
 
 	// The corpus's real compute: every figure row is one pipeline
 	// request's worth of work, so wall/rows is what an average served
@@ -71,12 +71,12 @@ func TestFlightRecorderOverheadUnderOnePercent(t *testing.T) {
 		t.Fatal("bench corpus produced no rows")
 	}
 
-	perRequest := wall.Nanoseconds() / int64(rows)
+	perRequest := float64(wall.Nanoseconds()) / float64(rows)
 	budget := perRequest / 100
-	t.Logf("record cost: hit %dns, full path %dns; corpus: %d rows in %v (%dns/request, 1%% budget %dns)",
-		fastOp.NsPerOp(), slowOp.NsPerOp(), rows, wall, perRequest, budget)
+	t.Logf("record cost: hit %.1fns, full path %.1fns; corpus: %d rows in %v (%.0fns/request, 1%% budget %.0fns)",
+		fastOp, slowOp, rows, wall, perRequest, budget)
 	if perRecord > budget {
-		t.Errorf("flight record cost %dns exceeds 1%% of the corpus per-request compute %dns",
+		t.Errorf("flight record cost %.1fns exceeds 1%% of the corpus per-request compute %.0fns",
 			perRecord, perRequest)
 	}
 }

@@ -43,7 +43,7 @@ func TestDisabledTracerOverheadUnderOnePercent(t *testing.T) {
 	// plus the span context a served request threads alongside it (the
 	// correlation machinery must be as free as the spans when tracing
 	// is off).
-	perOp := testing.Benchmark(func(b *testing.B) {
+	perOp := nsPerOp(testing.Benchmark(func(b *testing.B) {
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			sp := obs.RootRequest("overhead-probe", "r00000001")
@@ -55,7 +55,7 @@ func TestDisabledTracerOverheadUnderOnePercent(t *testing.T) {
 			}
 			sp.End()
 		}
-	})
+	}))
 
 	// Pass 2 (untraced): the suite's real wall time.
 	resetAll()
@@ -65,10 +65,10 @@ func TestDisabledTracerOverheadUnderOnePercent(t *testing.T) {
 	}
 	wall := time.Since(start)
 
-	overhead := time.Duration(int64(spanOps) * perOp.NsPerOp())
+	overhead := time.Duration(float64(spanOps) * perOp)
 	budget := wall / 100
-	t.Logf("span ops: %d; disabled cost/op: %dns; worst-case overhead: %v; wall: %v (budget %v)",
-		spanOps, perOp.NsPerOp(), overhead, wall, budget)
+	t.Logf("span ops: %d; disabled cost/op: %.3fns; worst-case overhead: %v; wall: %v (budget %v)",
+		spanOps, perOp, overhead, wall, budget)
 	if overhead > budget {
 		t.Errorf("disabled-tracer overhead %v exceeds 1%% of AllFigures wall time %v", overhead, wall)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"slms/internal/interp"
 	"slms/internal/machine"
 	"slms/internal/memo"
+	"slms/internal/obs"
 	"slms/internal/pipeline"
 	"slms/internal/source"
 )
@@ -179,11 +181,21 @@ func measureCached(k Kernel, d *machine.Desc, cc pipeline.Compiler) (*pipeline.O
 	return e.out, e.err
 }
 
-// runExperiment measures prog with and without SLMS under opts on the
-// machine/compiler pair, in the harness's modes.
-func runExperiment(prog *source.Program, d *machine.Desc, cc pipeline.Compiler, opts core.Options,
+// runExperiment measures prog, the kernel name, with and without SLMS
+// under opts on the machine/compiler pair, in the harness's modes. With
+// tracing on it is one span tree, rooted at "experiment:<name>".
+func runExperiment(name string, prog *source.Program, d *machine.Desc, cc pipeline.Compiler, opts core.Options,
 	seed func(*interp.Env)) (*pipeline.Outcome, error) {
-	return pipeline.RunExperiment(prog, pipeline.Experiment{
-		Machine: d, Compiler: cc, SLMS: opts, Modes: currentModes(),
-	}, seed)
+	sp := obs.Root("experiment:"+name).
+		Attr("kernel", name).Attr("machine", d.Name).Attr("compiler", cc.Name)
+	defer sp.End()
+	outs, errs, err := pipeline.RunExperimentsCtx(obs.ContextWithSpan(context.Background(), sp),
+		prog, d, cc, []core.Options{opts}, seed, currentModes())
+	if err == nil {
+		err = errs[0]
+	}
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }

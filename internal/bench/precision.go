@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"slms/internal/core"
+	"slms/internal/obs"
 	"slms/internal/source"
 )
 
@@ -161,11 +162,11 @@ func PrecisionCensus(kernels []Kernel) ([]PrecisionRow, PrecisionStat, error) {
 	for _, k := range kernels {
 		legacy := core.DefaultOptions()
 		legacy.NoSolver = true
-		rl, err := transformStats(k.Source, legacy)
+		rl, err := transformStats(k.Name, k.Source, legacy)
 		if err != nil {
 			return nil, sum, fmt.Errorf("%s (legacy): %w", k.Name, err)
 		}
-		re, err := transformStats(k.Source, core.DefaultOptions())
+		re, err := transformStats(k.Name, k.Source, core.DefaultOptions())
 		if err != nil {
 			return nil, sum, fmt.Errorf("%s (exact): %w", k.Name, err)
 		}
@@ -203,10 +204,15 @@ type modeStats struct {
 	skipReason                                 string // first skipped loop's
 }
 
-func transformStats(src string, opts core.Options) (modeStats, error) {
+// transformStats transforms src, the kernel name, under opts and sums
+// its loops' precision counters. With tracing on it is one span tree,
+// rooted at "precision:<name>".
+func transformStats(name, src string, opts core.Options) (modeStats, error) {
 	var st modeStats
 	prog := source.MustParse(src)
-	_, results, err := core.TransformProgram(prog, opts)
+	sp := obs.Root("precision:"+name).Attr("kernel", name).Attr("solver", !opts.NoSolver)
+	defer sp.End()
+	_, results, err := core.TransformProgramSpan(sp, prog, opts)
 	if err != nil {
 		return st, err
 	}

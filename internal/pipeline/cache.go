@@ -21,9 +21,9 @@ import (
 // A simulation run treats an artifact as immutable (see package sim), so
 // one shared artifact may be simulated from any number of goroutines.
 
-// compileConfig is the compile stage's configuration. Both descriptions
-// are flat comparable structs, so two configurations collide only if
-// they are semantically identical.
+// compileConfig is the compile stage's configuration: the machine and
+// the compiler fields the back end reads. Both are flat comparable
+// structs, so two configurations collide only if they compile the same.
 type compileConfig struct {
 	mach machine.Desc
 	cc   Compiler
@@ -40,8 +40,20 @@ var configs = struct {
 	m map[compileConfig]*compileConfig
 }{m: map[compileConfig]*compileConfig{}}
 
-// internConfig returns the canonical pointer of the (d, cc) configuration.
+// internConfig returns the canonical pointer of the (d, cc)
+// configuration, keyed on what the back end reads of cc (see
+// scheduleForCtx): never its name, its tags only for list or modulo
+// scheduling, its window only for list scheduling. So weak and strong
+// -O0 share one artifact. Scheduler and effort stay in the key even
+// where no loop is modulo scheduled, so an unknown name still fails.
 func internConfig(d *machine.Desc, cc Compiler) *compileConfig {
+	cc.Name = ""
+	if !cc.Reorder && !cc.IMS {
+		cc.Tags = false
+	}
+	if !cc.Reorder {
+		cc.Window = 0
+	}
 	cfg := compileConfig{*d, cc}
 	configs.Lock()
 	defer configs.Unlock()

@@ -123,6 +123,65 @@ func TestCompileConfigsShareByValue(t *testing.T) {
 	}
 }
 
+// The compile stage keys on the compiler fields the back end reads:
+// weak and strong -O0 (which differ only in name and tags, and neither
+// list- nor modulo-schedules) share one artifact, and compilers that
+// differ in any field the back end reads compile apart.
+func TestCompileKeyIsWhatTheBackEndReads(t *testing.T) {
+	prog := source.MustParse(`
+		float A[64]; float B[64];
+		for (i = 1; i < 64; i++) {
+			A[i] = A[i-1] * 0.5 + B[i] * 2.0;
+		}
+	`)
+	memo.SetEnabled(true)
+	memo.Reset()
+	t.Cleanup(memo.Reset)
+	d := machine.IA64Like()
+	compile := func(cc Compiler) *Artifact {
+		t.Helper()
+		art, err := CompileForCached(prog, d, cc)
+		if err != nil {
+			t.Fatalf("%+v: %v", cc, err)
+		}
+		return art
+	}
+	if compile(WeakNoO3) != compile(StrongNoO3) {
+		t.Error("weak and strong -O0 compiled apart")
+	}
+	renamed := StrongO3
+	renamed.Name = "another name"
+	if compile(renamed) != compile(StrongO3) {
+		t.Error("a compiler's name split the compile stage")
+	}
+	distinct := []Compiler{
+		WeakNoO3,
+		WeakO3,
+		{Reorder: true, Tags: true},
+		{Reorder: true, Window: 4},
+		{Reorder: true, Tags: true, Window: 4},
+		StrongO3,
+		{Reorder: true, IMS: true},
+		{IMS: true, Tags: true},
+		{IMS: true},
+		{Reorder: true, IMS: true, Tags: true, Scheduler: "exact"},
+		{Reorder: true, IMS: true, Tags: true, Effort: "quick"},
+		{Scheduler: "exact"},
+		{Effort: "max"},
+	}
+	seen := map[*Artifact]int{}
+	for i, cc := range distinct {
+		art := compile(cc)
+		if j, ok := seen[art]; ok {
+			t.Errorf("%+v shared the artifact of %+v", cc, distinct[j])
+		}
+		seen[art] = i
+	}
+	if _, err := CompileForCached(prog, d, Compiler{Scheduler: "nosuch"}); err == nil {
+		t.Error("an unknown scheduler compiled under -O0")
+	}
+}
+
 // A compile-stage hit allocates nothing: the key holds the interned
 // configuration's pointer, not a boxed copy of it.
 func TestCompileStageHitDoesNotAllocate(t *testing.T) {

@@ -14,3 +14,7 @@ func PredecodeIsolated(f *ir.Func, d *machine.Desc, plan *Plan, profiled bool) *
 	pd.states = &sync.Pool{New: func() any { return &runState{cache: newCache(d.Cache)} }}
 	return pd
 }
+
+// RefRun is the reference decoder's run (ref_test.go), for the
+// differential tests outside the package.
+var RefRun = refRun

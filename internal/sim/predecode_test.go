@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"slms/internal/backend"
 	"slms/internal/interp"
@@ -144,5 +145,14 @@ func TestPredecodedRunsInItsMode(t *testing.T) {
 		if tot := m.Profile.Totals(); tot.Total() != m.Cycles {
 			t.Errorf("profile totals %d, want %d", tot.Total(), m.Cycles)
 		}
+	}
+}
+
+// A micro-op stays a flat 28-byte entry: the table of a function is its
+// instruction count times 28 bytes, no more than the per-instruction
+// record it replaced.
+func TestMicroOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(uop{}); n > 28 {
+		t.Errorf("a micro-op takes %d bytes, want at most 28", n)
 	}
 }

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"slms/internal/ir"
 	"slms/internal/machine"
@@ -27,9 +28,10 @@ type profState struct {
 	slotCounts  []int64 // slot*NumCauses+cause: dynamic-issue charges
 	blockCounts []int64 // block*NumCauses+cause: static charges
 
-	// missReady flags registers whose pending value was delayed by an
-	// L1 miss, so the stall classifier can split hazard from miss.
-	missReady []bool
+	// fold's scratch, reused across runs.
+	counts []prof.Counts // per slot
+	shares []int64       // apportion: per slot of a block
+	order  []int         // apportion: slots by remainder
 }
 
 // profTables is the immutable-after-predecode half of the profiler: the
@@ -42,6 +44,10 @@ type profTables struct {
 	blockSlots [][]int32
 	schedIssue []int32 // block -> non-empty issue groups of its schedule
 	penalty    int64   // the machine's miss penalty
+
+	// Set by finish, once every slot is interned.
+	scaffold []bool  // slot -> prologue/epilogue: see fold
+	byLine   []int32 // slots in ascending line order, stable on slot
 }
 
 func newProfTables(f *ir.Func, d *machine.Desc) *profTables {
@@ -69,13 +75,44 @@ func (t *profTables) slotFor(block int, line int32) int32 {
 	return s
 }
 
-// reset readies p for a run over t's slots and f's blocks and
-// registers: every counter zeroed, storage reused across runs.
+// finish derives the per-slot views fold reads from the interned slots
+// of f: which slots are prologue/epilogue scaffolding, and the slots in
+// line order.
+func (t *profTables) finish(f *ir.Func) {
+	// A slot outside loop bodies whose source line also appears inside
+	// a loop body is scaffolding: SLMS fill/drain code is a copy of body
+	// statements, so it keeps their lines.
+	bodyLine := func(line int32) bool {
+		for _, b := range f.Blocks {
+			if b.IsLoopBody {
+				for _, s := range t.blockSlots[b.ID] {
+					if t.slotLine[s] == line {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	n := len(t.slotLine)
+	t.scaffold = make([]bool, n)
+	t.byLine = make([]int32, n)
+	for s := range n {
+		line := t.slotLine[s]
+		t.scaffold[s] = line != 0 && !f.Blocks[t.slotBlock[s]].IsLoopBody && bodyLine(line)
+		t.byLine[s] = int32(s)
+	}
+	slices.SortStableFunc(t.byLine, func(a, b int32) int {
+		return cmp.Compare(t.slotLine[a], t.slotLine[b])
+	})
+}
+
+// reset readies p for a run over t's slots and f's blocks: every
+// counter zeroed, storage reused across runs.
 func (p *profState) reset(t *profTables, f *ir.Func) {
 	p.profTables = t
 	p.slotCounts = zeroed(p.slotCounts, len(t.slotLine)*prof.NumCauses)
 	p.blockCounts = zeroed(p.blockCounts, len(f.Blocks)*prof.NumCauses)
-	p.missReady = zeroed(p.missReady, f.NumRegs)
 }
 
 // charge attributes n cycles to an instruction slot (dynamic issue).
@@ -92,88 +129,71 @@ func (p *profState) chargeBlock(block int, c prof.Cause, n int64) {
 // execBlock computed it: issue cycles up to the schedule's bundle
 // count, pipeline fill for a modulo-scheduled entry, and the rest as
 // hazard stalls the static schedule exposes.
-func (p *profState) chargeStatic(b *ir.Block, bt *BlockTiming, repeat bool, charged int64) {
+func (p *profState) chargeStatic(id int, bt *BlockTiming, repeat bool, charged int64) {
 	if charged <= 0 {
 		return
 	}
 	switch {
 	case bt.IMS != nil && bt.IMS.OK:
 		issue := min(int64(bt.IMS.II), charged)
-		p.chargeBlock(b.ID, prof.CauseIssue, issue)
+		p.chargeBlock(id, prof.CauseIssue, issue)
 		if !repeat && charged > issue {
-			p.chargeBlock(b.ID, prof.CauseFill, charged-issue)
+			p.chargeBlock(id, prof.CauseFill, charged-issue)
 		} else if charged > issue {
-			p.chargeBlock(b.ID, prof.CauseHazard, charged-issue)
+			p.chargeBlock(id, prof.CauseHazard, charged-issue)
 		}
 	case bt.Sched != nil:
-		issue := min(int64(p.schedIssue[b.ID]), charged)
-		p.chargeBlock(b.ID, prof.CauseIssue, issue)
+		issue := min(int64(p.schedIssue[id]), charged)
+		p.chargeBlock(id, prof.CauseIssue, issue)
 		if charged > issue {
-			p.chargeBlock(b.ID, prof.CauseHazard, charged-issue)
+			p.chargeBlock(id, prof.CauseHazard, charged-issue)
 		}
 	default:
-		p.chargeBlock(b.ID, prof.CauseIssue, charged)
+		p.chargeBlock(id, prof.CauseIssue, charged)
 	}
 }
 
 // fold converts the raw accumulators into a Profile: static block
 // charges are apportioned across the block's slots by instruction
-// count (exactly — largest-remainder rounding), slots outside loop
-// bodies whose source line also appears inside a loop body are
-// reclassified as prologue/epilogue scaffolding (SLMS fill/drain code
-// is a copy of body statements, so it keeps their lines), and slots
-// aggregate into per-line and per-block views.
+// count (exactly — largest-remainder rounding), scaffolding slots
+// (see finish) are reclassified as prologue/epilogue, and slots
+// aggregate into per-line and per-block views. It works in p's pooled
+// scratch: only the returned Profile and its slices are allocated.
 func (p *profState) fold(f *ir.Func, m *Metrics, d *machine.Desc) *prof.Profile {
 	nSlots := len(p.slotLine)
-	counts := make([]prof.Counts, nSlots)
-	for s := 0; s < nSlots; s++ {
-		for c := 0; c < prof.NumCauses; c++ {
-			counts[s][c] = p.slotCounts[s*prof.NumCauses+c]
-		}
+	p.counts = zeroed(p.counts, nSlots)
+	counts := p.counts
+	for s := range counts {
+		copy(counts[s][:], p.slotCounts[s*prof.NumCauses:])
 	}
 	// Apportion static block charges across the block's slots.
 	for blk := range f.Blocks {
 		slots := p.blockSlots[blk]
+		if len(slots) == 0 {
+			// Cannot be charged (every charge path runs instructions),
+			// and nothing to apportion to.
+			continue
+		}
 		for c := 0; c < prof.NumCauses; c++ {
 			total := p.blockCounts[blk*prof.NumCauses+c]
 			if total == 0 {
 				continue
 			}
-			if len(slots) == 0 {
-				// Cannot happen for charged blocks (every charge path
-				// runs instructions), but never drop cycles.
-				continue
-			}
-			shares := apportion(total, slots, p.slotWeight)
-			for i, s := range slots {
-				counts[s][c] += shares[i]
+			for i, share := range p.apportion(total, slots) {
+				counts[slots[i]][c] += share
 			}
 		}
 	}
-
-	// Prologue/epilogue reclassification (see doc comment). Misses and
-	// branch redirects keep their own causes even inside scaffolding.
-	bodyLines := map[int32]bool{}
-	for _, b := range f.Blocks {
-		if !b.IsLoopBody {
+	// Prologue/epilogue reclassification. Misses and branch redirects
+	// keep their own causes even inside scaffolding.
+	for s, scaffold := range p.scaffold {
+		if !scaffold {
 			continue
 		}
-		for _, s := range p.blockSlots[b.ID] {
-			if p.slotLine[s] != 0 {
-				bodyLines[p.slotLine[s]] = true
-			}
-		}
-	}
-	for s := 0; s < nSlots; s++ {
-		line := p.slotLine[s]
-		if line == 0 || !bodyLines[line] || f.Blocks[p.slotBlock[s]].IsLoopBody {
-			continue
-		}
-		moved := counts[s][prof.CauseIssue] + counts[s][prof.CauseHazard] + counts[s][prof.CauseFill]
-		counts[s][prof.CauseIssue] = 0
-		counts[s][prof.CauseHazard] = 0
-		counts[s][prof.CauseFill] = 0
-		counts[s][prof.CauseProEpi] += moved
+		cs := &counts[s]
+		moved := cs[prof.CauseIssue] + cs[prof.CauseHazard] + cs[prof.CauseFill]
+		cs[prof.CauseIssue], cs[prof.CauseHazard], cs[prof.CauseFill] = 0, 0, 0
+		cs[prof.CauseProEpi] += moved
 	}
 
 	pr := &prof.Profile{
@@ -181,75 +201,91 @@ func (p *profState) fold(f *ir.Func, m *Metrics, d *machine.Desc) *prof.Profile 
 		Cycles:  m.Cycles,
 		Instrs:  m.Instrs,
 	}
-	// Per-block view.
-	for blk, b := range f.Blocks {
+	// Per-block view: a block with slots that ran or was charged.
+	blockStat := func(blk int) (bs prof.BlockStat, ok bool) {
 		slots := p.blockSlots[blk]
 		if len(slots) == 0 {
-			continue
+			return bs, false
 		}
-		bs := prof.BlockStat{Block: b.ID, Line: int(p.slotLine[slots[0]]), Execs: m.ExecCounts[b.ID]}
+		bs = prof.BlockStat{Block: blk, Line: int(p.slotLine[slots[0]]), Execs: m.ExecCounts[blk]}
 		for _, s := range slots {
 			bs.Counts.Add(&counts[s])
 		}
-		if bs.Counts.Total() != 0 || bs.Execs != 0 {
-			pr.Blocks = append(pr.Blocks, bs)
+		return bs, bs.Counts.Total() != 0 || bs.Execs != 0
+	}
+	nBlocks := 0
+	for blk := range f.Blocks {
+		if _, ok := blockStat(blk); ok {
+			nBlocks++
 		}
 	}
-	// Per-line view.
-	byLine := map[int32]*prof.Counts{}
-	for s := 0; s < nSlots; s++ {
-		if counts[s].Total() == 0 {
-			continue
+	if nBlocks > 0 {
+		pr.Blocks = make([]prof.BlockStat, 0, nBlocks)
+		for blk := range f.Blocks {
+			if bs, ok := blockStat(blk); ok {
+				pr.Blocks = append(pr.Blocks, bs)
+			}
 		}
-		lc := byLine[p.slotLine[s]]
-		if lc == nil {
-			lc = new(prof.Counts)
-			byLine[p.slotLine[s]] = lc
+	}
+	// Per-line view: the charged slots, summed by line in line order.
+	nLines, last := 0, int32(-1)
+	for _, s := range p.byLine {
+		if counts[s].Total() != 0 && (nLines == 0 || p.slotLine[s] != last) {
+			nLines++
+			last = p.slotLine[s]
 		}
-		lc.Add(&counts[s])
 	}
-	lines := make([]int, 0, len(byLine))
-	for l := range byLine {
-		lines = append(lines, int(l))
-	}
-	sort.Ints(lines)
-	for _, l := range lines {
-		pr.Lines = append(pr.Lines, prof.LineStat{Line: l, Counts: *byLine[int32(l)]})
+	if nLines > 0 {
+		pr.Lines = make([]prof.LineStat, 0, nLines)
+		for _, s := range p.byLine {
+			if counts[s].Total() == 0 {
+				continue
+			}
+			line := int(p.slotLine[s])
+			if n := len(pr.Lines); n == 0 || pr.Lines[n-1].Line != line {
+				pr.Lines = append(pr.Lines, prof.LineStat{Line: line})
+			}
+			pr.Lines[len(pr.Lines)-1].Counts.Add(&counts[s])
+		}
 	}
 	return pr
 }
 
 // apportion splits total across slots proportionally to their weights,
 // exactly: shares sum to total, remainders go to the heaviest slots
-// first (ties by slot order), so the split is deterministic.
-func apportion(total int64, slots []int32, weight []int64) []int64 {
+// first (ties by slot order), so the split is deterministic. The
+// shares live in p's scratch until the next call.
+func (p *profState) apportion(total int64, slots []int32) []int64 {
 	var wsum int64
 	for _, s := range slots {
-		wsum += weight[s]
+		wsum += p.slotWeight[s]
 	}
-	shares := make([]int64, len(slots))
+	p.shares = zeroed(p.shares, len(slots))
+	shares := p.shares
 	if wsum == 0 {
 		shares[0] = total
 		return shares
 	}
 	var given int64
 	for i, s := range slots {
-		shares[i] = total * weight[s] / wsum
+		shares[i] = total * p.slotWeight[s] / wsum
 		given += shares[i]
 	}
 	if rest := total - given; rest > 0 {
 		// Order slots by remainder, largest first; stable on index.
-		idx := make([]int, len(slots))
-		for i := range idx {
-			idx[i] = i
+		rem := func(i int) int64 { return total * p.slotWeight[slots[i]] % wsum }
+		p.order = p.order[:0]
+		for i := range slots {
+			p.order = append(p.order, i)
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ra := total * weight[slots[idx[a]]] % wsum
-			rb := total * weight[slots[idx[b]]] % wsum
-			return ra > rb
-		})
+		order := p.order
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && rem(order[j]) > rem(order[j-1]); j-- {
+				order[j], order[j-1] = order[j-1], order[j]
+			}
+		}
 		for i := int64(0); i < rest; i++ {
-			shares[idx[int(i)%len(idx)]]++
+			shares[order[int(i)%len(order)]]++
 		}
 	}
 	return shares

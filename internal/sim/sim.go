@@ -16,14 +16,14 @@
 // per-event model plus static leakage per cycle.
 //
 // A program is simulated by predecoding it once for a machine and plan
-// (Predecode) and running the result (Predecoded.Run) as often as
-// needed. Whether runs attribute cycles to causes (Metrics.Profile) is
-// chosen at predecode and holds for every run of that predecode; no
-// process-wide setting changes it.
+// (Predecode) into a table of micro-ops and running the result
+// (Predecoded.Run) as often as needed. Whether runs attribute cycles to
+// causes (Metrics.Profile) is chosen at predecode and holds for every
+// run of that predecode; no process-wide setting changes it.
 //
-// A run never mutates the program or the plan: all per-execution state
-// (register file, array bindings, base addresses, predecoded
-// instruction attributes) lives in the simulator, so one compiled
+// A run never mutates the program, the plan or the predecode: all
+// per-execution state (register file, ready times, array bindings,
+// base addresses, L1 tags) lives in the simulator, so one compiled
 // artifact can be simulated from many goroutines concurrently. The
 // per-run buffers come from one process-wide pool per machine cache,
 // shared by every function simulated on machines with that L1, so
@@ -35,6 +35,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"slms/internal/backend"
@@ -49,10 +50,15 @@ import (
 
 // Simulation throughput counters in the metrics registry (handles are
 // hoisted: updates are single atomics on the per-Run path).
+// Blocks, stalls and misses are the events at which a run checks
+// whether it profiles (see simulator.pr).
 var (
 	simRuns   = obs.CounterName("sim.runs")
 	simCycles = obs.CounterName("sim.cycles")
 	simInstrs = obs.CounterName("sim.instrs")
+	simBlocks = obs.CounterName("sim.blocks")
+	simStalls = obs.CounterName("sim.stalls")
+	simMisses = obs.CounterName("sim.misses")
 )
 
 // BlockTiming is the compiled timing artifact for one block.
@@ -133,14 +139,17 @@ func (v value) asFloat() float64 {
 	return float64(v.i)
 }
 
-// cache is a set-associative LRU L1 model over flat byte addresses.
-// Ways are stored most-recent-first in a fixed-capacity slice per set,
-// so hits and fills shift in place and never allocate.
+// cache is a set-associative LRU L1 model over flat byte addresses. Its
+// line size and set count are powers of two, so an access finds its
+// line and set by shift and mask. Each set's ways sit in one flat array
+// most-recent-first; an empty way holds -1, which no line (addresses are
+// non-negative) matches, so hits and fills shift in place and never
+// allocate.
 type cache struct {
-	sets  int
-	assoc int
-	line  int64
-	tags  [][]int64 // per set, LRU order (front = most recent)
+	lineShift uint
+	setMask   int64
+	assoc     int
+	tags      []int64 // set*assoc + way, LRU order (way 0 = most recent)
 }
 
 func newCache(c machine.Cache) *cache {
@@ -149,69 +158,57 @@ func newCache(c machine.Cache) *cache {
 		line = 32
 	}
 	assoc := max(1, c.Assoc)
-	sets := c.SizeBytes / (line * assoc)
-	if sets < 1 {
-		sets = 1
+	sets := max(1, c.SizeBytes/(line*assoc))
+	if line&(line-1) != 0 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("sim: L1 of %d-byte lines in %d sets: both must be powers of two", line, sets))
 	}
-	tags := make([][]int64, sets)
-	backing := make([]int64, sets*assoc)
-	for i := range tags {
-		tags[i] = backing[i*assoc : i*assoc : (i+1)*assoc]
+	ch := &cache{
+		lineShift: uint(bits.TrailingZeros(uint(line))),
+		setMask:   int64(sets - 1),
+		assoc:     assoc,
+		tags:      make([]int64, sets*assoc),
 	}
-	return &cache{sets: sets, assoc: assoc, line: int64(line), tags: tags}
+	ch.reset()
+	return ch
 }
 
 // reset empties the cache without freeing its backing storage, so a
-// pooled run state starts cold without reallocating the tag arrays.
+// pooled run state starts cold without reallocating the tag array.
 func (c *cache) reset() {
 	for i := range c.tags {
-		c.tags[i] = c.tags[i][:0]
+		c.tags[i] = -1
 	}
 }
 
 // access returns true on hit and updates LRU state.
 func (c *cache) access(addr int64) bool {
-	lineAddr := addr / c.line
-	set := int(lineAddr % int64(c.sets))
-	ways := c.tags[set]
-	for k, t := range ways {
-		if t == lineAddr {
-			copy(ways[1:k+1], ways[:k])
-			ways[0] = lineAddr
-			return true
-		}
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.assoc
+	ways := c.tags[base : base+c.assoc]
+	k := 0
+	for k < len(ways)-1 && ways[k] != line {
+		k++
 	}
-	if len(ways) < c.assoc {
-		ways = append(ways, 0)
-		c.tags[set] = ways
+	hit := ways[k] == line
+	// Shift the more recent ways down over way k (the hit, or on a miss
+	// the least recent, which is evicted) and put line first.
+	for ; k > 0; k-- {
+		ways[k] = ways[k-1]
 	}
-	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = lineAddr
-	return false
+	ways[0] = line
+	return hit
 }
 
 // arrayBinding is the per-run resolution of an array name: storage,
 // element count and flat base address, resolved once at first touch
 // instead of a map lookup per memory instruction.
 type arrayBinding struct {
-	name    string
-	ai      *ir.ArrayInfo
-	arr     *interp.Array
-	n       int64 // element count (cached arr.Len())
-	base    int64
-	isSpill bool
-}
-
-// instrInfo is the predecoded per-instruction attribute record: energy,
-// latency and functional unit under the target machine, plus the array
-// binding index for memory instructions. Computed once per Run so the
-// inner loop never consults the machine description or an array map.
-type instrInfo struct {
-	energy float64
-	lat    int64
-	fu     uint8
-	mem    int32 // index into simulator.bindings, -1 for non-mem ops
-	slot   int32 // profiler (block, line) slot; valid only when profiling
+	name  string
+	ai    *ir.ArrayInfo
+	arr   *interp.Array
+	n     int64 // element count (cached arr.Len())
+	base  int64
+	spill int64 // 1 for the spill array: added to the spill counters
 }
 
 // ctxCheckInterval is the number of simulated instructions between
@@ -244,32 +241,41 @@ func toInterp(v value, t source.Type) interp.Value {
 	}
 }
 
-type simulator struct {
-	f     *ir.Func
-	d     *machine.Desc
-	plan  *Plan
-	env   *interp.Env
-	regs  []value
-	cache *cache
-	m     *Metrics
-	limit int64
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
-	// predecoded program attributes, parallel to f.Blocks[i].Instrs
-	info     [][]instrInfo
+type simulator struct {
+	pd       *Predecoded
+	env      *interp.Env
+	regs     []value
+	regReady []int64
+	missed   []bool
 	bindings []arrayBinding
+	cache    *cache
+	m        *Metrics
+	limit    int64
+
+	// machine parameters the loop reads
+	energy    [4]float64 // per-instruction energy by unit class
+	inOrder   bool
+	width     int32
+	units     [4]int32
+	branchLat int64
+	penalty   int64
 
 	// dynamic in-order issue state
-	cycle    int64
-	issued   int
-	fuUsed   [4]int
-	regReady []int64
+	cycle  int64
+	issued int32
+	fuUsed [4]int32
+	stalls int64
 
-	// static-timing state
-	lastBlock int // previously executed block
-	prevBlock int // block before that
-
-	// pr is the cycle-attribution accumulator; nil unless profiling is
-	// enabled, and every hot-path touch is behind a nil check.
+	// pr is the cycle-attribution accumulator, nil unless the predecode
+	// is profiled. It is checked only where cycles are charged — block
+	// entry, a stall, a taken branch, a miss — never per instruction.
 	pr *profState
 
 	// ctx, when non-nil, is polled every ctxCheckInterval instructions so
@@ -282,17 +288,15 @@ type simulator struct {
 }
 
 func (s *simulator) run() error {
-	if s.regReady == nil {
-		s.regReady = make([]int64, s.f.NumRegs)
-	}
-	s.lastBlock = -1
-	s.prevBlock = -1
+	pd := s.pd
+	nBlocks := len(pd.f.Blocks)
+	static := !s.inOrder && pd.plan != nil
+	last, prev := -1, -1 // the previously executed block and the one before
 	blockID := 0
 	for {
-		if blockID < 0 || blockID >= len(s.f.Blocks) {
+		if blockID < 0 || blockID >= nBlocks {
 			return fmt.Errorf("sim: control fell off the program (block %d)", blockID)
 		}
-		b := s.f.Blocks[blockID]
 		if s.ctx != nil && s.m.Instrs >= s.nextCtxCheck {
 			if err := s.ctx.Err(); err != nil {
 				return fmt.Errorf("sim: aborted after %d instructions: %w", s.m.Instrs, err)
@@ -300,204 +304,338 @@ func (s *simulator) run() error {
 			s.nextCtxCheck = s.m.Instrs + ctxCheckInterval
 		}
 		s.m.ExecCounts[blockID]++
-		next, halted, err := s.execBlock(b)
-		if err != nil {
-			return err
+		if static {
+			s.chargeEntry(blockID, last, prev)
 		}
-		if halted {
-			if s.d.Policy == machine.InOrder {
+		code := pd.code[pd.start[blockID]:pd.start[blockID+1]]
+		// Only a block's last micro-op branches or halts, so the block
+		// runs whole unless the limit falls inside it.
+		overLimit := s.m.Instrs+int64(len(code)) > s.limit
+		if overLimit {
+			code = code[:s.limit-s.m.Instrs]
+		}
+		s.m.Instrs += int64(len(code))
+		next, halted, err := s.execBlock(code, blockID+1)
+		switch {
+		case err != nil:
+			return err
+		case overLimit:
+			return fmt.Errorf("sim: instruction limit exceeded (runaway loop?)")
+		case halted:
+			if s.inOrder {
 				s.m.Cycles = s.cycle + 1
 			}
 			return nil
 		}
-		s.prevBlock = s.lastBlock
-		s.lastBlock = blockID
+		prev, last = last, blockID
 		blockID = next
 	}
 }
 
-// execBlock executes one block and returns the successor.
-func (s *simulator) execBlock(b *ir.Block) (next int, halted bool, err error) {
-	// Static timing: charge block cost on entry.
-	if s.d.Policy == machine.Static && s.plan != nil {
-		bt := &s.plan.Blocks[b.ID]
-		// A block repeats when it re-executes back to back, possibly with
-		// only its (rotated-away) loop head in between.
-		repeat := s.lastBlock == b.ID ||
-			(s.lastBlock >= 0 && s.lastBlock < len(s.plan.Blocks) &&
-				s.plan.Blocks[s.lastBlock].LoopHead &&
-				s.plan.Blocks[s.lastBlock].BodyID == b.ID && s.prevBlock == b.ID)
-		var add int64
-		switch {
-		case bt.LoopHead && s.lastBlock == bt.BodyID:
-			// Rotated loop: the back edge already paid for the test.
-		case bt.IMS != nil && bt.IMS.OK:
-			if repeat {
-				add = int64(bt.IMS.II)
-			} else {
-				add = int64(bt.IMS.SL)
-			}
-		case bt.Sched != nil:
-			if repeat {
-				add = int64(bt.Sched.SteadyLen)
-			} else {
-				add = int64(bt.Sched.Len)
-			}
-		default:
-			add = int64(len(b.Instrs))
+// chargeEntry charges a block's static timing on entry (Static policy).
+func (s *simulator) chargeEntry(id, last, prev int) {
+	blocks := s.pd.plan.Blocks
+	bt := &blocks[id]
+	// A block repeats when it re-executes back to back, possibly with
+	// only its (rotated-away) loop head in between.
+	repeat := last == id ||
+		(last >= 0 && last < len(blocks) &&
+			blocks[last].LoopHead && blocks[last].BodyID == id && prev == id)
+	var add int64
+	switch {
+	case bt.LoopHead && last == bt.BodyID:
+		// Rotated loop: the back edge already paid for the test.
+	case bt.IMS != nil && bt.IMS.OK:
+		if repeat {
+			add = int64(bt.IMS.II)
+		} else {
+			add = int64(bt.IMS.SL)
 		}
-		s.m.Cycles += add
-		if s.pr != nil {
-			s.pr.chargeStatic(b, bt, repeat, add)
+	case bt.Sched != nil:
+		if repeat {
+			add = int64(bt.Sched.SteadyLen)
+		} else {
+			add = int64(bt.Sched.Len)
 		}
+	default:
+		add = int64(len(s.pd.f.Blocks[id].Instrs))
 	}
-	next = b.ID + 1
-	infos := s.info[b.ID]
-	inOrder := s.d.Policy == machine.InOrder
-	profInOrder := inOrder && s.pr != nil
-	for idx, in := range b.Instrs {
-		s.m.Instrs++
-		if s.m.Instrs > s.limit {
-			return 0, false, fmt.Errorf("sim: instruction limit exceeded (runaway loop?)")
+	s.m.Cycles += add
+	if s.pr != nil {
+		s.pr.chargeStatic(id, bt, repeat, add)
+	}
+}
+
+// execBlock executes one block's micro-ops and returns the successor;
+// fall is the fall-through block.
+func (s *simulator) execBlock(code []uop, fall int) (next int, halted bool, err error) {
+	regs, ready := s.regs, s.regReady
+	// Energy accumulates in a register, in instruction order (a miss
+	// adds its own after its instruction's), and is stored on the way
+	// out of a block that completes.
+	energy, perOp := s.m.Energy, &s.energy
+	for i := range code {
+		u := &code[i]
+		energy += perOp[u.fu]
+		if s.inOrder {
+			// Issue at the earliest cycle every operand is ready and
+			// the issue group has room on the unit.
+			earliest, crit := s.cycle, int32(-1)
+			if r := ready[u.a]; r > earliest {
+				earliest, crit = r, u.a
+			}
+			if r := ready[u.b]; r > earliest {
+				earliest, crit = r, u.b
+			}
+			if r := ready[u.c]; r > earliest {
+				earliest, crit = r, u.c
+			}
+			if earliest > s.cycle || s.issued >= s.width || s.fuUsed[u.fu] >= s.units[u.fu] {
+				s.stall(u, earliest, crit)
+			}
+			s.issued++
+			s.fuUsed[u.fu]++
+			if u.dst >= 0 {
+				ready[u.dst] = s.cycle + int64(u.lat)
+				s.missed[u.dst] = false
+			}
 		}
-		ii := &infos[idx]
-		s.m.Energy += ii.energy
-		if profInOrder {
-			s.issueInOrderProf(in, ii)
-		} else if inOrder {
-			s.issueInOrder(in, ii)
-		}
-		switch in.Op {
-		case ir.Br:
-			return in.Target, false, nil
-		case ir.BrTrue:
-			if s.val(in.Args[0]).b {
-				return in.Target, false, nil
+		switch u.op {
+		case uNop:
+		case uMov:
+			regs[u.dst] = coerce(regs[u.a], u.typ)
+		case uAddI:
+			regs[u.dst] = value{t: tagInt, i: regs[u.a].asInt() + regs[u.b].asInt()}
+		case uSubI:
+			regs[u.dst] = value{t: tagInt, i: regs[u.a].asInt() - regs[u.b].asInt()}
+		case uMulI:
+			regs[u.dst] = value{t: tagInt, i: regs[u.a].asInt() * regs[u.b].asInt()}
+		case uDivI, uModI:
+			x, y := regs[u.a].asInt(), regs[u.b].asInt()
+			if y == 0 {
+				if u.op == uDivI {
+					return 0, false, fmt.Errorf("sim: integer division by zero")
+				}
+				return 0, false, fmt.Errorf("sim: integer modulo by zero")
 			}
-			return next, false, nil
-		case ir.BrFalse:
-			if !s.val(in.Args[0]).b {
-				return in.Target, false, nil
+			if u.op == uDivI {
+				regs[u.dst] = value{t: tagInt, i: x / y}
+			} else {
+				regs[u.dst] = value{t: tagInt, i: x % y}
 			}
-			return next, false, nil
-		case ir.Halt:
-			if profInOrder {
-				// run() pays cycle+1 on halt; attribute the final cycle.
-				s.pr.charge(ii.slot, prof.CauseIssue, 1)
+		case uNegI:
+			regs[u.dst] = value{t: tagInt, i: -regs[u.a].asInt()}
+		case uAddF:
+			regs[u.dst] = value{t: tagFloat, f: regs[u.a].asFloat() + regs[u.b].asFloat()}
+		case uSubF:
+			regs[u.dst] = value{t: tagFloat, f: regs[u.a].asFloat() - regs[u.b].asFloat()}
+		case uMulF:
+			regs[u.dst] = value{t: tagFloat, f: regs[u.a].asFloat() * regs[u.b].asFloat()}
+		case uDivF:
+			regs[u.dst] = value{t: tagFloat, f: regs[u.a].asFloat() / regs[u.b].asFloat()}
+		case uModF:
+			regs[u.dst] = value{t: tagFloat, f: math.Mod(regs[u.a].asFloat(), regs[u.b].asFloat())}
+		case uNegF:
+			regs[u.dst] = value{t: tagFloat, f: -regs[u.a].asFloat()}
+		case uLTI:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asInt() < regs[u.b].asInt()}
+		case uLEI:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asInt() <= regs[u.b].asInt()}
+		case uGTI:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asInt() > regs[u.b].asInt()}
+		case uGEI:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asInt() >= regs[u.b].asInt()}
+		case uEQI:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asInt() == regs[u.b].asInt()}
+		case uNEI:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asInt() != regs[u.b].asInt()}
+		case uLTF:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asFloat() < regs[u.b].asFloat()}
+		case uLEF:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asFloat() <= regs[u.b].asFloat()}
+		case uGTF:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asFloat() > regs[u.b].asFloat()}
+		case uGEF:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asFloat() >= regs[u.b].asFloat()}
+		case uEQF:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asFloat() == regs[u.b].asFloat()}
+		case uNEF:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].asFloat() != regs[u.b].asFloat()}
+		case uEQB:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].b == regs[u.b].b}
+		case uNEB:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].b != regs[u.b].b}
+		case uAnd:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].b && regs[u.b].b}
+		case uOr:
+			regs[u.dst] = value{t: tagBool, b: regs[u.a].b || regs[u.b].b}
+		case uNot:
+			regs[u.dst] = value{t: tagBool, b: !regs[u.a].b}
+		case uSelect:
+			if regs[u.a].b {
+				regs[u.dst] = coerce(regs[u.b], u.typ)
+			} else {
+				regs[u.dst] = coerce(regs[u.c], u.typ)
 			}
-			return 0, true, nil
-		default:
-			if err := s.exec(in, ii); err != nil {
+		case uLoad:
+			bd, idx, err := s.address(u)
+			if err != nil {
 				return 0, false, err
 			}
+			if !s.cache.access(bd.base + idx*8) {
+				energy += s.pd.d.Energy.Miss
+				s.miss(u)
+			}
+			s.m.Loads++
+			s.m.SpillLoads += bd.spill
+			a := bd.arr
+			var v value
+			switch a.Type {
+			case source.TInt:
+				v = value{t: tagInt, i: a.I[idx]}
+			case source.TBool:
+				v = value{t: tagBool, b: a.F[idx] != 0}
+			default:
+				v = value{t: tagFloat, f: a.F[idx]}
+			}
+			regs[u.dst] = coerce(v, u.typ)
+		case uStore:
+			bd, idx, err := s.address(u)
+			if err != nil {
+				return 0, false, err
+			}
+			if !s.cache.access(bd.base + idx*8) {
+				energy += s.pd.d.Energy.Miss
+				s.miss(u)
+			}
+			s.m.Stores++
+			s.m.SpillStores += bd.spill
+			a, v := bd.arr, regs[u.b]
+			switch {
+			case a.Type == source.TInt && v.t == tagBool:
+				a.I[idx] = b2i(v.b)
+			case a.Type == source.TInt:
+				a.I[idx] = v.asInt()
+			case v.t == tagBool:
+				a.F[idx] = float64(b2i(v.b))
+			default:
+				a.F[idx] = v.asFloat()
+			}
+		case uCall:
+			r := intrinsics[u.aux].fn(regs[u.a].asFloat(), regs[u.b].asFloat())
+			if u.typ == tagInt {
+				regs[u.dst] = value{t: tagInt, i: int64(r)}
+			} else {
+				regs[u.dst] = value{t: tagFloat, f: r}
+			}
+		case uBr:
+			s.m.Energy = energy
+			s.taken(u)
+			return int(u.aux), false, nil
+		case uBrTrue, uBrFalse:
+			s.m.Energy = energy
+			s.taken(u)
+			if regs[u.a].b == (u.op == uBrTrue) {
+				return int(u.aux), false, nil
+			}
+			return fall, false, nil
+		case uHalt:
+			s.m.Energy = energy
+			s.taken(u)
+			if s.inOrder && s.pr != nil {
+				// run() pays cycle+1 on halt; attribute the final cycle.
+				s.pr.charge(u.slot, prof.CauseIssue, 1)
+			}
+			return 0, true, nil
+		case uBad:
+			// The micro-ops parallel the block's instructions.
+			return 0, false, failure(s.pd.f.Blocks[fall-1].Instrs[i])
 		}
 	}
-	return next, false, nil
+	s.m.Energy = energy
+	return fall, false, nil
 }
 
-// issueInOrder advances the dynamic issue model for one instruction.
-func (s *simulator) issueInOrder(in *ir.Instr, ii *instrInfo) {
-	earliest := s.cycle
-	for _, a := range in.Args {
-		if a.Kind == ir.KReg && s.regReady[a.Reg] > earliest {
-			earliest = s.regReady[a.Reg]
+// stall advances the in-order issue model past a hazard or a full issue
+// group: straight to the cycle earliest, the first at which every
+// operand is ready, or to the next cycle when only the group was full.
+// A profiled run charges the cycles to u's slot in bulk, with the
+// per-cause totals a cycle-by-cycle walk gives: the closing cycle of a
+// group that issued is issue, the tail of a wait on a register crit
+// whose value was delayed by an L1 miss is the miss, the rest hazard.
+func (s *simulator) stall(u *uop, earliest int64, crit int32) {
+	to := max(s.cycle+1, earliest)
+	s.stalls++
+	if s.pr != nil {
+		c := s.cycle
+		if s.issued > 0 {
+			s.pr.charge(u.slot, prof.CauseIssue, 1)
+			c++
+		}
+		if n := to - c; n > 0 {
+			hazard := n
+			if earliest > c && crit >= 0 && s.missed[crit] {
+				hazard = min(n, max(0, earliest-s.penalty-c))
+			}
+			s.pr.charge(u.slot, prof.CauseHazard, hazard)
+			s.pr.charge(u.slot, prof.CauseMiss, n-hazard)
 		}
 	}
-	fu := ii.fu
-	for earliest > s.cycle || s.issued >= s.d.IssueWidth || s.fuUsed[fu] >= s.d.Units[fu] {
-		s.cycle++
-		s.issued = 0
-		s.fuUsed = [4]int{}
-	}
-	s.issued++
-	s.fuUsed[fu]++
-	if in.Dst >= 0 {
-		s.regReady[in.Dst] = s.cycle + ii.lat
-	}
-	if fu == uint8(machine.FUBranch) {
-		// Taken-branch redirection costs the branch latency.
-		s.cycle += int64(s.d.Lat.Branch)
-		s.issued = 0
-		s.fuUsed = [4]int{}
-	}
+	s.cycle = to
+	s.issued = 0
+	s.fuUsed = [4]int32{}
 }
 
-// issueInOrderProf is issueInOrder with cycle attribution: the same
-// timing decisions instruction for instruction, but every cycle the
-// model advances is charged to the stalling instruction's slot. Kept as
-// a separate copy so the unprofiled path stays branch-free; execBlock
-// picks the variant once per instruction.
-func (s *simulator) issueInOrderProf(in *ir.Instr, ii *instrInfo) {
-	earliest := s.cycle
-	crit := -1
-	for _, a := range in.Args {
-		if a.Kind == ir.KReg && s.regReady[a.Reg] > earliest {
-			earliest = s.regReady[a.Reg]
-			crit = a.Reg
-		}
-	}
-	fu := ii.fu
-	for earliest > s.cycle || s.issued >= s.d.IssueWidth || s.fuUsed[fu] >= s.d.Units[fu] {
-		var c prof.Cause
-		switch {
-		case s.issued > 0:
-			// The cycle being closed out issued instructions: work.
-			c = prof.CauseIssue
-		case earliest > s.cycle && crit >= 0 && s.pr.missReady[crit] &&
-			s.cycle >= earliest-s.pr.penalty:
-			// The tail of the wait traced to an L1 miss on the
-			// critical register; the head was plain latency.
-			c = prof.CauseMiss
-		default:
-			c = prof.CauseHazard
-		}
-		s.pr.charge(ii.slot, c, 1)
-		s.cycle++
-		s.issued = 0
-		s.fuUsed = [4]int{}
-	}
-	s.issued++
-	s.fuUsed[fu]++
-	if in.Dst >= 0 {
-		s.regReady[in.Dst] = s.cycle + ii.lat
-		s.pr.missReady[in.Dst] = false
-	}
-	if fu == uint8(machine.FUBranch) {
-		s.pr.charge(ii.slot, prof.CauseBranch, int64(s.d.Lat.Branch))
-		s.cycle += int64(s.d.Lat.Branch)
-		s.issued = 0
-		s.fuUsed = [4]int{}
-	}
-}
-
-// chargeMem charges an L1 miss depending on the issue policy.
-func (s *simulator) chargeMem(in *ir.Instr, ii *instrInfo, addr int64) {
-	hit := s.cache.access(addr)
-	if hit {
+// taken redirects in-order issue after a branch or halt: the redirect
+// costs the branch latency and closes the issue group.
+func (s *simulator) taken(u *uop) {
+	if !s.inOrder {
 		return
 	}
-	s.m.CacheMiss++
-	s.m.Energy += s.d.Energy.Miss
-	penalty := int64(s.d.Cache.MissPenalty)
-	if s.d.Policy == machine.InOrder {
-		if in.Dst >= 0 {
-			// The penalty surfaces later as a stall on the loaded
-			// register; flag it so the stall classifier charges the
-			// waiting cycles (if any materialize) to the miss.
-			s.regReady[in.Dst] += penalty
-			if s.pr != nil {
-				s.pr.missReady[in.Dst] = true
-			}
-		} else {
-			s.cycle += penalty
-			if s.pr != nil {
-				s.pr.charge(ii.slot, prof.CauseMiss, penalty)
-			}
+	if s.pr != nil {
+		s.pr.charge(u.slot, prof.CauseBranch, s.branchLat)
+	}
+	s.cycle += s.branchLat
+	s.issued = 0
+	s.fuUsed = [4]int32{}
+}
+
+// address resolves a load's or store's binding and element index and
+// checks the bounds.
+func (s *simulator) address(u *uop) (*arrayBinding, int64, error) {
+	bd := &s.bindings[u.aux]
+	if bd.arr == nil {
+		if err := s.bind(bd); err != nil {
+			return nil, 0, err
 		}
-	} else {
-		s.m.Cycles += penalty
+	}
+	idx := s.regs[u.a].asInt()
+	if idx < 0 || idx >= bd.n {
+		return nil, 0, fmt.Errorf("sim: %s[%d] out of range [0,%d)", bd.name, idx, bd.n)
+	}
+	return bd, idx, nil
+}
+
+// miss charges an L1 miss's cycles depending on the issue policy (the
+// caller adds its energy).
+func (s *simulator) miss(u *uop) {
+	s.m.CacheMiss++
+	switch {
+	case !s.inOrder:
+		s.m.Cycles += s.penalty
 		if s.pr != nil {
-			s.pr.chargeBlock(int(s.pr.slotBlock[ii.slot]), prof.CauseMiss, penalty)
+			s.pr.chargeBlock(int(s.pr.slotBlock[u.slot]), prof.CauseMiss, s.penalty)
+		}
+	case u.dst >= 0:
+		// The penalty surfaces later as a stall on the loaded register;
+		// flag it so the stall classifier charges the waiting cycles (if
+		// any materialize) to the miss.
+		s.regReady[u.dst] += s.penalty
+		s.missed[u.dst] = true
+	default:
+		s.cycle += s.penalty
+		if s.pr != nil {
+			s.pr.charge(u.slot, prof.CauseMiss, s.penalty)
 		}
 	}
 }
@@ -550,272 +688,20 @@ func (s *simulator) allocBase(elems int64) int64 {
 	return base
 }
 
-func (s *simulator) val(a ir.Val) value {
-	switch a.Kind {
-	case ir.KReg:
-		return s.regs[a.Reg]
-	case ir.KInt:
-		return value{t: tagInt, i: a.I}
-	case ir.KFloat:
-		return value{t: tagFloat, f: a.F}
-	default:
-		return value{t: tagBool, b: a.B}
-	}
-}
-
-func (s *simulator) set(r int, v value) { s.regs[r] = v }
-
-func (s *simulator) exec(in *ir.Instr, ii *instrInfo) error {
-	switch in.Op {
-	case ir.Nop:
-		return nil
-	case ir.Mov:
-		s.set(in.Dst, coerce(s.val(in.Args[0]), in.Type))
-		return nil
-	case ir.Cvt:
-		s.set(in.Dst, coerce(s.val(in.Args[0]), in.Type))
-		return nil
-	case ir.Add, ir.Sub, ir.Mul, ir.Div, ir.Mod:
-		x, y := s.val(in.Args[0]), s.val(in.Args[1])
-		if in.Type == source.TFloat {
-			a, b := x.asFloat(), y.asFloat()
-			var r float64
-			switch in.Op {
-			case ir.Add:
-				r = a + b
-			case ir.Sub:
-				r = a - b
-			case ir.Mul:
-				r = a * b
-			case ir.Div:
-				r = a / b
-			case ir.Mod:
-				r = math.Mod(a, b)
-			}
-			s.set(in.Dst, value{t: tagFloat, f: r})
-			return nil
-		}
-		a, b := x.asInt(), y.asInt()
-		var r int64
-		switch in.Op {
-		case ir.Add:
-			r = a + b
-		case ir.Sub:
-			r = a - b
-		case ir.Mul:
-			r = a * b
-		case ir.Div:
-			if b == 0 {
-				return fmt.Errorf("sim: integer division by zero")
-			}
-			r = a / b
-		case ir.Mod:
-			if b == 0 {
-				return fmt.Errorf("sim: integer modulo by zero")
-			}
-			r = a % b
-		}
-		s.set(in.Dst, value{t: tagInt, i: r})
-		return nil
-	case ir.Neg:
-		x := s.val(in.Args[0])
-		if in.Type == source.TFloat {
-			s.set(in.Dst, value{t: tagFloat, f: -x.asFloat()})
-		} else {
-			s.set(in.Dst, value{t: tagInt, i: -x.asInt()})
-		}
-		return nil
-	case ir.CmpLT, ir.CmpLE, ir.CmpGT, ir.CmpGE, ir.CmpEQ, ir.CmpNE:
-		x, y := s.val(in.Args[0]), s.val(in.Args[1])
-		var r bool
-		if in.Type == source.TBool {
-			switch in.Op {
-			case ir.CmpEQ:
-				r = x.b == y.b
-			case ir.CmpNE:
-				r = x.b != y.b
-			default:
-				return fmt.Errorf("sim: ordered comparison of bools")
-			}
-		} else if in.Type == source.TInt {
-			a, b := x.asInt(), y.asInt()
-			switch in.Op {
-			case ir.CmpLT:
-				r = a < b
-			case ir.CmpLE:
-				r = a <= b
-			case ir.CmpGT:
-				r = a > b
-			case ir.CmpGE:
-				r = a >= b
-			case ir.CmpEQ:
-				r = a == b
-			case ir.CmpNE:
-				r = a != b
-			}
-		} else {
-			a, b := x.asFloat(), y.asFloat()
-			switch in.Op {
-			case ir.CmpLT:
-				r = a < b
-			case ir.CmpLE:
-				r = a <= b
-			case ir.CmpGT:
-				r = a > b
-			case ir.CmpGE:
-				r = a >= b
-			case ir.CmpEQ:
-				r = a == b
-			case ir.CmpNE:
-				r = a != b
-			}
-		}
-		s.set(in.Dst, value{t: tagBool, b: r})
-		return nil
-	case ir.And:
-		s.set(in.Dst, value{t: tagBool, b: s.val(in.Args[0]).b && s.val(in.Args[1]).b})
-		return nil
-	case ir.Or:
-		s.set(in.Dst, value{t: tagBool, b: s.val(in.Args[0]).b || s.val(in.Args[1]).b})
-		return nil
-	case ir.Not:
-		s.set(in.Dst, value{t: tagBool, b: !s.val(in.Args[0]).b})
-		return nil
-	case ir.Select:
-		c := s.val(in.Args[0])
-		if c.b {
-			s.set(in.Dst, coerce(s.val(in.Args[1]), in.Type))
-		} else {
-			s.set(in.Dst, coerce(s.val(in.Args[2]), in.Type))
-		}
-		return nil
-	case ir.Load:
-		bd := &s.bindings[ii.mem]
-		if bd.arr == nil {
-			if err := s.bind(bd); err != nil {
-				return err
-			}
-		}
-		idx := s.val(in.Args[0]).asInt()
-		if idx < 0 || idx >= bd.n {
-			return fmt.Errorf("sim: %s[%d] out of range [0,%d)", in.Arr, idx, bd.n)
-		}
-		s.m.Loads++
-		if bd.isSpill {
-			s.m.SpillLoads++
-		}
-		s.chargeMem(in, ii, bd.base+idx*8)
-		a := bd.arr
-		var v value
-		switch a.Type {
-		case source.TInt:
-			v = value{t: tagInt, i: a.I[idx]}
-		case source.TBool:
-			v = value{t: tagBool, b: a.F[idx] != 0}
-		default:
-			v = value{t: tagFloat, f: a.F[idx]}
-		}
-		s.set(in.Dst, coerce(v, in.Type))
-		return nil
-	case ir.Store:
-		bd := &s.bindings[ii.mem]
-		if bd.arr == nil {
-			if err := s.bind(bd); err != nil {
-				return err
-			}
-		}
-		idx := s.val(in.Args[0]).asInt()
-		if idx < 0 || idx >= bd.n {
-			return fmt.Errorf("sim: %s[%d] out of range [0,%d)", in.Arr, idx, bd.n)
-		}
-		s.m.Stores++
-		if bd.isSpill {
-			s.m.SpillStores++
-		}
-		s.chargeMem(in, ii, bd.base+idx*8)
-		a := bd.arr
-		v := s.val(in.Args[1])
-		switch {
-		case a.Type == source.TInt && v.t == tagBool:
-			if v.b {
-				a.I[idx] = 1
-			} else {
-				a.I[idx] = 0
-			}
-		case a.Type == source.TInt:
-			a.I[idx] = v.asInt()
-		case v.t == tagBool:
-			if v.b {
-				a.F[idx] = 1
-			} else {
-				a.F[idx] = 0
-			}
-		default:
-			a.F[idx] = v.asFloat()
-		}
-		return nil
-	case ir.Call:
-		args := make([]float64, len(in.Args))
-		for k, a := range in.Args {
-			args[k] = s.val(a).asFloat()
-		}
-		var r float64
-		switch strings.ToLower(in.Fn) {
-		case "abs":
-			r = math.Abs(args[0])
-		case "sqrt":
-			r = math.Sqrt(args[0])
-		case "exp":
-			r = math.Exp(args[0])
-		case "log":
-			r = math.Log(args[0])
-		case "sin":
-			r = math.Sin(args[0])
-		case "cos":
-			r = math.Cos(args[0])
-		case "pow":
-			r = math.Pow(args[0], args[1])
-		case "min":
-			r = math.Min(args[0], args[1])
-		case "max":
-			r = math.Max(args[0], args[1])
-		case "sign":
-			r = math.Copysign(math.Abs(args[0]), args[1])
-		case "mod":
-			r = math.Mod(args[0], args[1])
-		default:
-			return fmt.Errorf("sim: unknown intrinsic %q", in.Fn)
-		}
-		if in.Type == source.TInt {
-			s.set(in.Dst, value{t: tagInt, i: int64(r)})
-		} else {
-			s.set(in.Dst, value{t: tagFloat, f: r})
-		}
-		return nil
-	}
-	return fmt.Errorf("sim: cannot execute %v", in.Op)
-}
-
-func coerce(v value, t source.Type) value {
-	tag := vtag(t)
-	if v.t == tag || t == source.TUnknown {
+// coerce converts v to the type tag t; an untyped t keeps v as it is.
+func coerce(v value, t vtag) value {
+	if v.t == t || t == tagUnknown {
 		return v
 	}
-	switch tag {
+	switch t {
 	case tagInt:
 		if v.t == tagBool {
-			if v.b {
-				return value{t: tagInt, i: 1}
-			}
-			return value{t: tagInt, i: 0}
+			return value{t: tagInt, i: b2i(v.b)}
 		}
 		return value{t: tagInt, i: v.asInt()}
 	case tagFloat:
 		if v.t == tagBool {
-			if v.b {
-				return value{t: tagFloat, f: 1}
-			}
-			return value{t: tagFloat, f: 0}
+			return value{t: tagFloat, f: float64(b2i(v.b))}
 		}
 		return value{t: tagFloat, f: v.asFloat()}
 	case tagBool:

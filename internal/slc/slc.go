@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"slms/internal/core"
+	"slms/internal/obs"
 	"slms/internal/sem"
 	"slms/internal/source"
 	"slms/internal/xform"
@@ -79,12 +80,24 @@ type Result struct {
 // Optimize runs the source level compiler over the program. The input is
 // not modified.
 func Optimize(p *source.Program, opts Options) (*Result, error) {
+	return OptimizeSpan(nil, p, opts)
+}
+
+// OptimizeSpan is Optimize under a parent trace span: every loop the
+// driver transforms gets its child span and decision record (see
+// core.TransformSpan). With tracing on and no parent, the run is its
+// own span tree, rooted at "slc".
+func OptimizeSpan(sp *obs.Span, p *source.Program, opts Options) (*Result, error) {
+	if sp == nil {
+		sp = obs.Root("slc")
+		defer sp.End()
+	}
 	out := source.CloneProgram(p)
 	info, err := sem.Check(out)
 	if err != nil {
 		return nil, err
 	}
-	d := &driver{opts: opts, tab: info.Table, res: &Result{}}
+	d := &driver{opts: opts, tab: info.Table, res: &Result{}, sp: sp}
 	if err := d.stmts(out.Stmts, func(i int, s source.Stmt) {
 		out.Stmts[i] = s
 	}); err != nil {
@@ -101,6 +114,7 @@ type driver struct {
 	opts    Options
 	tab     *sem.Table
 	res     *Result
+	sp      *obs.Span // parent of every loop's transform span
 	loopNum int
 }
 
@@ -178,8 +192,8 @@ func (d *driver) stmts(ss []source.Stmt, replace func(int, source.Stmt)) error {
 // tryFusion merges two adjacent loops when legal and when the fused loop
 // schedules although at least one original does not.
 func (d *driver) tryFusion(f1, f2 *source.For) (source.Stmt, bool) {
-	r1, err1 := core.Transform(f1, d.tab, d.opts.SLMS)
-	r2, err2 := core.Transform(f2, d.tab, d.opts.SLMS)
+	r1, err1 := core.TransformSpan(d.sp, f1, d.tab, d.opts.SLMS)
+	r2, err2 := core.TransformSpan(d.sp, f2, d.tab, d.opts.SLMS)
 	if err1 != nil || err2 != nil {
 		return nil, false
 	}
@@ -190,7 +204,7 @@ func (d *driver) tryFusion(f1, f2 *source.For) (source.Stmt, bool) {
 	if err != nil {
 		return nil, false
 	}
-	rf, err := core.Transform(fused, d.tab, d.opts.SLMS)
+	rf, err := core.TransformSpan(d.sp, fused, d.tab, d.opts.SLMS)
 	if err != nil || !rf.Applied {
 		return nil, false
 	}
@@ -206,7 +220,7 @@ func (d *driver) loop(f *source.For) (source.Stmt, error) {
 	// only for perfect 2-deep nests whose inner loop fails.
 	if inner, ok := perfectNestInner(f); ok {
 		d.loopNum++
-		r, err := core.Transform(inner, d.tab, d.opts.SLMS)
+		r, err := core.TransformSpan(d.sp, inner, d.tab, d.opts.SLMS)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +232,7 @@ func (d *driver) loop(f *source.For) (source.Stmt, error) {
 		if d.opts.EnableInterchange {
 			if swapped, err := xform.Interchange(f, d.tab); err == nil {
 				newInner := swapped.Body.Stmts[0].(*source.For)
-				r2, err := core.Transform(newInner, d.tab, d.opts.SLMS)
+				r2, err := core.TransformSpan(d.sp, newInner, d.tab, d.opts.SLMS)
 				if err == nil && r2.Applied {
 					d.record("interchange+slms", true, fmt.Sprintf("II=%d MIs=%d", r2.II, r2.MIs))
 					swapped.Body.Stmts[0] = r2.Replacement
@@ -246,7 +260,7 @@ func (d *driver) loop(f *source.For) (source.Stmt, error) {
 				if mf, ok := blk.Stmts[0].(*source.For); ok {
 					work = mf
 					prefix = "mirror+"
-					r, err := core.Transform(work, d.tab, d.opts.SLMS)
+					r, err := core.TransformSpan(d.sp, work, d.tab, d.opts.SLMS)
 					if err != nil {
 						return nil, err
 					}
@@ -262,7 +276,7 @@ func (d *driver) loop(f *source.For) (source.Stmt, error) {
 		}
 	}
 
-	r, err := core.Transform(work, d.tab, d.opts.SLMS)
+	r, err := core.TransformSpan(d.sp, work, d.tab, d.opts.SLMS)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +295,7 @@ func (d *driver) loop(f *source.For) (source.Stmt, error) {
 				if !ok {
 					continue
 				}
-				r2, err := core.Transform(mf, d.tab, d.opts.SLMS)
+				r2, err := core.TransformSpan(d.sp, mf, d.tab, d.opts.SLMS)
 				if err != nil {
 					return nil, err
 				}
